@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .constants import ATOMIC_MASS_UNIT, REDUCED_PLANCK, VACUUM_PERMEABILITY
-from .constants import PLANCK_MASS, SPEED_OF_LIGHT
+from .constants import PLANCK_MOMENTUM_SQ
 from .dynamics import PendulumConfig
 from .evfit import LinearFit, confidence_interval
 
@@ -51,9 +51,6 @@ __all__ = [
     "load_scenarios",
     "resolve_scenario",
 ]
-
-_MOMENTUM_SCALE_SQ = (PLANCK_MASS * SPEED_OF_LIGHT) ** 2
-
 
 class ScenarioError(ValueError):
     """A scenario registry entry is malformed or incomplete."""
@@ -134,7 +131,7 @@ def slope_coefficients(pend: PendulumConfig) -> tuple[float, float]:
     """
     t0 = pend.small_period
     c0 = t0 / (16.0 * pend.length**2)
-    c1 = t0 * pend.mass**2 * pend.gravity / (2.0 * _MOMENTUM_SCALE_SQ * pend.length)
+    c1 = t0 * pend.mass**2 * pend.gravity / (2.0 * PLANCK_MOMENTUM_SQ * pend.length)
     return c0, c1
 
 
@@ -256,7 +253,7 @@ def levitation_ratio_bound(
         delta_max = damping / math.sqrt(n_measurements)
     if delta_max <= 0.0:
         raise ValueError("frequency resolution must be positive")
-    upper = delta_max * 2.0 * _MOMENTUM_SCALE_SQ / (mass**2 * omega**3 * amplitude**2)
+    upper = delta_max * 2.0 * PLANCK_MOMENTUM_SQ / (mass**2 * omega**3 * amplitude**2)
     return RatioBound(lower=0.0, upper=upper)
 
 
@@ -328,7 +325,7 @@ def optomech_ratio_bound(
     coefficient = optomech_phase_coefficient(lam, n_photons, mass, omega, p_mean)
     if coefficient <= 0.0:
         raise ValueError("deformation phase coefficient must be positive")
-    upper = phase_resolution * _MOMENTUM_SCALE_SQ / coefficient
+    upper = phase_resolution * PLANCK_MOMENTUM_SQ / coefficient
     return RatioBound(lower=0.0, upper=upper)
 
 

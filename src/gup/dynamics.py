@@ -13,15 +13,17 @@ Two systems are covered:
 * the harmonic oscillator that the pendulum turns into in the
   small-amplitude limit, used for classical-limit comparisons.
 
-For the pendulum the energy integral reduces the motion between turning
-points to a first-order equation,
+Both are integrated in their canonical pair.  For the pendulum that is
+x = L sin(theta) and ptilde, with
 
-    dtheta/dt = -cos(theta) sqrt(2 (g/L) f(theta)) (1 + 2 m^2 g L f(theta) beta),
-    f(theta)  = (cos(theta) - cos(phi)) / cos^2(theta),
+    H(x, ptilde) = tan^2(sqrt(beta) ptilde) c^2 / (2 m beta) - m g L c,
+    c = sqrt(1 - x^2 / L^2),
 
-which is non-Lipschitz at theta = +-phi.  The integrator therefore works
-piecewise, switching to the equivalent second-order form inside a narrow
-window around the turning points.
+that is, p^2 c^2 / (2 m) - m g L c, with p = ptilde at beta = 0.
+Hamilton's equations in (x, ptilde) are smooth through the turning
+points, where ptilde passes through zero, so a whole swing is one
+high-order solve; zero crossings are events on x and turning points
+events on ptilde.
 """
 
 from __future__ import annotations
@@ -53,17 +55,13 @@ __all__ = [
     "harmonic_frequency_shift",
 ]
 
-# Width of the angular window around each turning point inside which the
-# second-order form of the equation of motion is integrated.
-_TURNING_WINDOW = 1e-6
-
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class TrajectoryError(RuntimeError):
-    """The ODE integrator failed, typically near a turning point."""
+    """The ODE integrator failed to cover the requested time span."""
 
 
 @dataclass(frozen=True)
@@ -317,170 +315,70 @@ def period_beta_linearized(
 # --- trajectories ----------------------------------------------------------
 
 
-def _swing_fields(pend: PendulumConfig, beta: float, phi: float):
-    """Speed |dtheta/dt| and angular acceleration as functions of theta."""
-    g_over_l = pend.gravity / pend.length
-    strength = 2.0 * pend.mass**2 * pend.gravity * pend.length * beta
-    cos_phi = math.cos(phi)
+def _physical_momentum(ptilde: float, root: float) -> tuple[float, float]:
+    """p(ptilde) = tan(root ptilde) / root and dp/dptilde, with root = sqrt(beta).
 
-    def speed(theta: float) -> float:
-        c = math.cos(theta)
-        height = c - cos_phi
-        if height <= 0.0:
-            return 0.0
-        factor = 1.0 + strength * height / (c * c)
-        return math.sqrt(2.0 * g_over_l * height) * factor
-
-    def accel(theta: float) -> float:
-        # One half the derivative of speed^2, valid on both swing branches.
-        c = math.cos(theta)
-        s = math.sin(theta)
-        height = c - cos_phi
-        factor = 1.0 + strength * height / (c * c)
-        inner = -s * c + 2.0 * height * s
-        return g_over_l * (
-            -s * factor * factor
-            + 2.0 * strength * height * factor * inner / c**3
-        )
-
-    return speed, accel
+    Both reduce to (ptilde, 1) in the undeformed case root = 0.
+    """
+    if root == 0.0:
+        return ptilde, 1.0
+    u = root * ptilde
+    return math.tan(u) / root, 1.0 / math.cos(u) ** 2
 
 
-def _integrate_phases(
+def _solve_swing(
     pend: PendulumConfig,
     beta: float,
     phi: float,
     t_end: float,
     rel_tol: float,
+    dense_output: bool = False,
 ):
-    """Run the piecewise integration and return dense segments plus events.
+    """One DOP853 solve of the swing in the canonical pair (x, ptilde).
 
-    Returns (segments, crossings, turnings) where segments is a list of
-    (t_start, t_stop, dense_interpolant, second_order_flag), crossings
-    are the times where theta passes zero and turnings the (t, theta)
-    pairs where dtheta/dt vanishes.
+    Evolves Hamilton's equations for
+
+        H = p(ptilde)^2 c^2 / (2 m) - m g L c,   c = sqrt(1 - x^2 / L^2),
+
+    released from rest at x = L sin(phi).  Event 0 is x = 0 (zero
+    crossings in either direction), event 1 is ptilde = 0 (turning
+    points, including the release at t = 0).
     """
-    speed, accel = _swing_fields(pend, beta, phi)
-    window = _TURNING_WINDOW
-    edge = phi - window
-    # The turn phase exits through a slightly wider edge than it enters:
-    # entering leaves theta numerically ON the entry edge, and a
-    # coincident event zero at the start would fire instantly and skip
-    # the whole turning region.
-    exit_edge = phi - 1.5 * window
-    atol = rel_tol * max(phi, 1e-3) * 1e-2
+    mass, length = pend.mass, pend.length
+    weight = mass * pend.gravity
+    root = math.sqrt(beta)
 
-    def second_order(t, state):
-        return (state[1], accel(state[0]))
+    def rhs(t, state):
+        x, ptilde = state
+        p, slope = _physical_momentum(ptilde, root)
+        c2 = 1.0 - (x / length) ** 2
+        velocity = p * c2 * slope / mass
+        force = (x / length) * (p * p / (mass * length) - weight / math.sqrt(c2))
+        return (velocity, force)
 
-    segments = []
-    crossings: list[float] = []
-    turnings: list[tuple[float, float]] = []
+    def crossing(t, state):
+        return state[0]
 
-    whole_swing = phi <= 8.0 * window
-    t = 0.0
-    theta, omega = phi, 0.0
-    side = 1  # sign of the turning point the bob is near or heading away from
-    mode = "turn"
+    def turning(t, state):
+        return state[1]
 
-    while t < t_end:
-        if mode == "turn" or whole_swing:
-
-            def stop_inward(tt, state, s=side):
-                return state[0] - s * exit_edge
-
-            stop_inward.terminal = not whole_swing
-            stop_inward.direction = -side
-
-            def at_rest(tt, state):
-                return state[1]
-
-            at_rest.terminal = False
-            at_rest.direction = 0
-
-            def crossing_zero(tt, state):
-                return state[0]
-
-            crossing_zero.terminal = False
-            crossing_zero.direction = 0
-
-            events = [stop_inward, at_rest]
-            if whole_swing:
-                events.append(crossing_zero)
-            sol = integrate.solve_ivp(
-                second_order,
-                (t, t_end),
-                (theta, omega),
-                method="DOP853",
-                rtol=rel_tol,
-                atol=atol,
-                dense_output=True,
-                events=events,
-            )
-            if sol.status < 0:
-                raise TrajectoryError(f"turning-point integration failed: {sol.message}")
-            for t_turn in sol.t_events[1]:
-                turnings.append((float(t_turn), float(sol.sol(t_turn)[0])))
-            if whole_swing:
-                crossings.extend(float(tc) for tc in sol.t_events[2])
-            segments.append((t, float(sol.t[-1]), sol.sol, True))
-            t = float(sol.t[-1])
-            theta, omega = (float(v) for v in sol.y[:, -1])
-            if sol.status == 1:
-                mode = "swing"
-                side = -side  # the coming swing ends at the opposite side
-            else:
-                break
-        else:
-            direction = int(math.copysign(1.0, side))
-            # the swing drifts towards `side`, i.e. dtheta/dt has its sign
-            speed_sign = float(direction)
-
-            def first_order(tt, state):
-                return (speed_sign * speed(state[0]),)
-
-            def reach_far_edge(tt, state, s=side):
-                return state[0] - s * edge
-
-            reach_far_edge.terminal = True
-            reach_far_edge.direction = direction
-
-            def crossing(tt, state):
-                return state[0]
-
-            crossing.terminal = False
-            crossing.direction = direction
-
-            sol = integrate.solve_ivp(
-                first_order,
-                (t, t_end),
-                (theta,),
-                method="DOP853",
-                rtol=rel_tol,
-                atol=atol,
-                dense_output=True,
-                events=[reach_far_edge, crossing],
-            )
-            if sol.status < 0:
-                raise TrajectoryError(f"swing integration failed: {sol.message}")
-            crossings.extend(float(tc) for tc in sol.t_events[1])
-            segments.append((t, float(sol.t[-1]), sol.sol, False))
-            t = float(sol.t[-1])
-            theta = float(sol.y[0, -1])
-            omega = speed_sign * speed(theta)
-            mode = "turn"
-
-    return segments, crossings, turnings
-
-
-def _sample_segments(segments, times: np.ndarray) -> np.ndarray:
-    angles = np.empty_like(times)
-    angles.fill(np.nan)
-    for t0, t1, dense, _ in segments:
-        mask = (times >= t0) & (times <= t1)
-        if np.any(mask):
-            angles[mask] = dense(times[mask])[0]
-    return angles
+    x0 = length * math.sin(phi)
+    # momentum at the bottom of the swing, m sqrt(2 g L (1 - cos(phi)))
+    p_max = 2.0 * mass * math.sin(0.5 * phi) * math.sqrt(pend.gravity * length)
+    ptilde_max = momentum_remap(p_max, beta)
+    sol = integrate.solve_ivp(
+        rhs,
+        (0.0, t_end),
+        (x0, 0.0),
+        method="DOP853",
+        rtol=rel_tol,
+        atol=(rel_tol * 1e-2 * x0, rel_tol * 1e-2 * ptilde_max),
+        dense_output=dense_output,
+        events=[crossing, turning],
+    )
+    if sol.status < 0:
+        raise TrajectoryError(f"swing integration failed: {sol.message}")
+    return sol
 
 
 def integrate_trajectory(
@@ -493,12 +391,12 @@ def integrate_trajectory(
 ) -> list[TrajectorySample]:
     """Integrate a swing released from rest at the angular amplitude.
 
-    The bob starts at theta = +phi.  Between turning points the
-    first-order energy-conserving equation is integrated directly; inside
-    a window of 1e-6 rad around +-phi the second-order form takes over,
-    which is what allows the trajectory to leave the turning points at
-    all.  Samples are returned on a uniform grid unless explicit times
-    are given, and are monotone in time either way.
+    The bob starts at theta = +phi.  Hamilton's equations are integrated
+    in the canonical pair (x, ptilde), whose flow is smooth through the
+    turning points, in a single high-order solve; the dense output is
+    sampled as theta = asin(x / L).  Samples are returned on a uniform
+    grid unless explicit times are given, and are monotone in time
+    either way.
     """
     beta = _as_beta(deformation)
     phi = _check_angular_amplitude(angular_amplitude)
@@ -507,7 +405,6 @@ def integrate_trajectory(
         raise ValueError("t_end must be positive")
     rel_tol = _check_rel_tol(rel_tol)
 
-    segments, _, _ = _integrate_phases(pend, beta, phi, t_end, rel_tol)
     if times is None:
         approx_period = pend.small_period * (1.0 + phi * phi / 16.0)
         count = max(64, int(256 * t_end / approx_period))
@@ -518,10 +415,12 @@ def integrate_trajectory(
             raise ValueError("times must be a non-empty 1-D sequence")
         if np.any(np.diff(grid) < 0.0) or grid[0] < 0.0 or grid[-1] > t_end:
             raise ValueError("times must be non-decreasing within [0, t_end]")
-    angles = _sample_segments(segments, grid)
+    sol = _solve_swing(pend, beta, phi, t_end, rel_tol, dense_output=True)
+    displacements = sol.sol(grid)[0]
+    angles = np.arcsin(displacements / pend.length)
     return [
-        TrajectorySample(float(t), float(a), pend.length * math.sin(a))
-        for t, a in zip(grid, angles)
+        TrajectorySample(float(t), float(a), float(x))
+        for t, a, x in zip(grid, angles, displacements)
     ]
 
 
@@ -533,20 +432,19 @@ def trajectory_period(
 ) -> float:
     """Empirical period from the zero crossings of an integrated swing.
 
-    Integrates a little under three periods and averages the spacing of
-    same-direction zero crossings, which the solver locates by root
-    finding on its dense output.
+    Integrates a little under three periods, sized from
+    period_exact_quadrature, and averages the spacing of same-direction
+    zero crossings, which the solver locates by root finding on its
+    dense output.
     """
     beta = _as_beta(deformation)
     phi = _check_angular_amplitude(angular_amplitude)
     rel_tol = _check_rel_tol(rel_tol)
-    approx_period = pend.small_period * (1.0 + phi * phi / 16.0)
-    _, crossings, _ = _integrate_phases(pend, beta, phi, 2.8 * approx_period, rel_tol)
+    period = period_exact_quadrature(pend, beta, phi)
+    crossings = _solve_swing(pend, beta, phi, 2.8 * period, rel_tol).t_events[0]
     if len(crossings) < 3:
         raise TrajectoryError("not enough zero crossings to estimate a period")
-    crossings = sorted(crossings)
-    gaps = [crossings[i + 2] - crossings[i] for i in range(len(crossings) - 2)]
-    return float(np.mean(gaps))
+    return float(np.mean(crossings[2:] - crossings[:-2]))
 
 
 def turning_point_energies(
@@ -564,10 +462,13 @@ def turning_point_energies(
     beta = _as_beta(deformation)
     phi = _check_angular_amplitude(angular_amplitude)
     rel_tol = _check_rel_tol(rel_tol)
-    approx_period = pend.small_period * (1.0 + phi * phi / 16.0)
-    _, _, turnings = _integrate_phases(pend, beta, phi, 2.3 * approx_period, rel_tol)
+    period = period_exact_quadrature(pend, beta, phi)
+    sol = _solve_swing(pend, beta, phi, 2.3 * period, rel_tol)
     scale = pend.mass * pend.gravity * pend.length
-    return [(t, -scale * math.cos(theta)) for t, theta in turnings]
+    return [
+        (float(t), -scale * math.sqrt(1.0 - (state[0] / pend.length) ** 2))
+        for t, state in zip(sol.t_events[1], sol.y_events[1])
+    ]
 
 
 def integrate_oscillator_trajectory(
@@ -594,16 +495,12 @@ def integrate_oscillator_trajectory(
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) < 0.0):
         raise ValueError("times must be a non-decreasing 1-D sequence")
-    root = math.sqrt(beta) if beta > 0.0 else 0.0
+    root = math.sqrt(beta)
 
     def rhs(t, state):
         x, pt = state
-        if root == 0.0:
-            velocity = pt / mass
-        else:
-            u = root * pt
-            velocity = math.tan(u) / (math.cos(u) ** 2 * mass * root)
-        return (velocity, -mass * omega**2 * x)
+        p, slope = _physical_momentum(pt, root)
+        return (p * slope / mass, -mass * omega**2 * x)
 
     sol = integrate.solve_ivp(
         rhs,

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .constants import REDUCED_PLANCK
-from .dynamics import DeformationParams, PendulumConfig
+from .dynamics import DeformationParams, PendulumConfig, _as_beta
 
 __all__ = [
     "OscillatorModel",
@@ -434,14 +434,9 @@ def oscillator_from_pendulum(
     Maps (L, g) to omega = sqrt(g/L) with the same mass; displacement
     amplitude A corresponds to swing angle A/L.
     """
-    beta = (
-        deformation.effective_beta
-        if isinstance(deformation, DeformationParams)
-        else float(deformation)
-    )
     return OscillatorModel(
         mass=pend.mass,
         omega=math.sqrt(pend.gravity / pend.length),
         hbar=hbar,
-        beta=beta,
+        beta=_as_beta(deformation),
     )

@@ -186,10 +186,17 @@ class TestTrajectory:
         measured = trajectory_period(experiment, beta0, phi, rel_tol=1e-10)
         assert measured == pytest.approx(reference, rel=1e-8)
 
-    def test_period_matches_quadrature_deformed(self, experiment):
-        deformation = DeformationParams(beta0=1e6)
-        reference = period_exact_quadrature(experiment, deformation, 0.05, rel_tol=1e-12)
-        measured = trajectory_period(experiment, deformation, 0.05, rel_tol=1e-10)
+    @pytest.mark.parametrize("beta0,phi", [
+        (1e6, 0.05),
+        (1e4, 0.7),
+        (300.0, 0.6),
+        (5.062794789021211, 0.5464744751347133),
+        (926.3708144463365, 0.22675649986861235),
+    ])
+    def test_period_matches_quadrature_deformed(self, experiment, beta0, phi):
+        deformation = DeformationParams(beta0=beta0)
+        reference = period_exact_quadrature(experiment, deformation, phi, rel_tol=1e-12)
+        measured = trajectory_period(experiment, deformation, phi, rel_tol=1e-10)
         assert measured == pytest.approx(reference, rel=1e-6)
 
     def test_angle_bounded_by_amplitude(self, experiment):
@@ -232,6 +239,10 @@ class TestTrajectory:
         reference = -experiment.mass * experiment.gravity * experiment.length * math.cos(phi)
         for _, energy in energies:
             assert energy == pytest.approx(reference, rel=1e-7)
+        # the span covers a few deformed periods, not the undeformed one
+        horizon = 2.3 * period_exact_quadrature(experiment, deformation, phi)
+        assert 3 <= len(energies) <= 5
+        assert all(t < horizon for t, _ in energies)
 
     def test_rejects_bad_times(self, experiment):
         with pytest.raises(ValueError):
