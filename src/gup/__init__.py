@@ -34,7 +34,6 @@ from .dynamics import (
     DeformationParams,
     PendulumConfig,
     TrajectorySample,
-    effective_beta,
     harmonic_frequency_shift,
     integrate_oscillator_trajectory,
     integrate_trajectory,

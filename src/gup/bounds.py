@@ -7,10 +7,9 @@ region at fixed constituent count N is
     alpha > alpha_min(beta0) = (ln beta0 - ln B) / ln N,
 
 a straight line in (log10 beta0, alpha) with slope 1 / log10 N.  This
-module derives B for the experiments handled here (pendulum timing fit,
-diamagnetic levitation, pulsed optomechanics), carries a registry of
-fixed literature bounds, and turns any (B, N) pair into a plottable
-boundary.
+module derives B from the pendulum timing fit and from diamagnetic
+levitation, reads registered B values for the other experiments from the
+scenario registry, and turns any (B, N) pair into a plottable boundary.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .constants import ATOMIC_MASS_UNIT, REDUCED_PLANCK, VACUUM_PERMEABILITY
-from .constants import PLANCK_MOMENTUM_SQ
+from .constants import ATOMIC_MASS_UNIT, PLANCK_MOMENTUM_SQ, VACUUM_PERMEABILITY
 from .dynamics import PendulumConfig
 from .evfit import LinearFit, confidence_interval
 
@@ -39,15 +37,11 @@ __all__ = [
     "ratio_bound_from_fit",
     "nucleon_count",
     "alpha_bound",
-    "default_beta0_grid",
+    "beta0_log_grid",
     "exclusion_boundary",
     "sphere_mass",
     "levitation_frequency",
     "levitation_ratio_bound",
-    "optomech_coupling",
-    "optomech_field",
-    "optomech_ratio_bound",
-    "literature_bounds",
     "load_scenarios",
     "resolve_scenario",
 ]
@@ -72,10 +66,10 @@ class RatioBound:
 class ExperimentScenario:
     """One entry of the experiment registry.
 
-    kind selects the bound pipeline; parameters is the kind-specific
-    record.  style controls plotting ("solid", "dashed" or "none" for
-    registered-but-not-plotted entries).  inferred lists parameter names
-    whose values were back-computed rather than taken from a source.
+    kind names the resolver in _RESOLVERS; parameters is the record that
+    resolver reads.  style controls plotting ("solid", "dashed" or "none"
+    for registered-but-not-plotted entries).  inferred lists parameter
+    names whose values were back-computed rather than taken from a source.
     """
 
     kind: str
@@ -86,10 +80,8 @@ class ExperimentScenario:
     inferred: tuple[str, ...] = ()
     reference: dict[str, float] = field(default_factory=dict)
 
-    _KINDS = ("pendulum-fit", "oscillator-frequency", "levitation", "optomechanical")
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in _RESOLVERS:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         if self.style not in ("solid", "dashed", "none"):
             raise ScenarioError(f"unknown plot style {self.style!r}")
@@ -170,18 +162,24 @@ def alpha_bound(upper: float, n_particles: float, beta0: float = 1.0) -> float:
     From beta0 N^-alpha <= upper: alpha_min = (ln beta0 - ln upper)/ln N.
     The region alpha > alpha_min survives the experiment.
     """
-    if upper <= 0.0:
-        raise ValueError("ratio upper bound must be positive")
-    if n_particles <= 1.0:
-        raise ValueError("n_particles must exceed 1 for suppression leverage")
+    _check_leverage(upper, n_particles)
     if beta0 <= 0.0:
         raise ValueError("beta0 must be positive")
     return (math.log(beta0) - math.log(upper)) / math.log(n_particles)
 
 
-def default_beta0_grid(num: int = 121) -> np.ndarray:
-    """Log-spaced beta0 values covering 1e-4 to 1e8, hitting 1 exactly."""
-    return 10.0 ** np.linspace(-4.0, 8.0, num)
+def _check_leverage(upper: float, n_particles: float) -> None:
+    if upper <= 0.0:
+        raise ValueError("ratio upper bound must be positive")
+    if n_particles <= 1.0:
+        raise ValueError("n_particles must exceed 1 for suppression leverage")
+
+
+def beta0_log_grid(
+    beta0_min: float = 1e-4, beta0_max: float = 1e8, points: int = 121
+) -> np.ndarray:
+    """Log-spaced beta0 values; the default grid hits 1 exactly."""
+    return 10.0 ** np.linspace(math.log10(beta0_min), math.log10(beta0_max), points)
 
 
 def exclusion_boundary(
@@ -189,14 +187,15 @@ def exclusion_boundary(
 ) -> ExclusionBoundary:
     """Boundary curve alpha_min(beta0) for a ratio bound B and count N."""
     if beta0_grid is None:
-        beta0_grid = default_beta0_grid()
+        beta0_grid = beta0_log_grid()
     grid = np.asarray(beta0_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("beta0 grid must be non-empty")
-    points = tuple(
-        (float(b0), alpha_bound(upper, n_particles, float(b0))) for b0 in grid
-    )
-    return ExclusionBoundary(points=points, excluded_side="below")
+    _check_leverage(upper, n_particles)
+    if np.any(grid <= 0.0):
+        raise ValueError("beta0 must be positive")
+    alphas = (np.log(grid) - math.log(upper)) / math.log(n_particles)
+    return ExclusionBoundary(points=tuple(zip(grid.tolist(), alphas.tolist())))
 
 
 def sphere_mass(density: float, radius: float) -> float:
@@ -255,85 +254,6 @@ def levitation_ratio_bound(
         raise ValueError("frequency resolution must be positive")
     upper = delta_max * 2.0 * PLANCK_MOMENTUM_SQ / (mass**2 * omega**3 * amplitude**2)
     return RatioBound(lower=0.0, upper=upper)
-
-
-def optomech_coupling(
-    finesse: float, wavelength: float, mass: float, omega: float
-) -> float:
-    """Dimensionless pulse-oscillator coupling of a cavity interaction.
-
-        lambda = (4 F / lambda_L) sqrt(hbar / (m omega))
-    """
-    if min(finesse, wavelength, mass, omega) <= 0.0:
-        raise ValueError("finesse, wavelength, mass and omega must be positive")
-    return (4.0 * finesse / wavelength) * math.sqrt(REDUCED_PLANCK / (mass * omega))
-
-
-def optomech_field(
-    xi: complex,
-    lam: float,
-    n_photons: float,
-    beta: float,
-    mass: float,
-    omega: float,
-    p_mean: float = 0.0,
-) -> complex:
-    """Mean light-pulse field after interacting with a deformed oscillator.
-
-    First order in beta:
-
-        <a_l> = xi exp(-2 i lam^2 N_p
-                       - (4/3) i beta hbar m omega lam^4 N_p^3
-                       + 2 i beta lam^2 N_p <p>^2)
-
-    p_mean = 0 reproduces the ground-state expression; a coherent
-    oscillator state contributes through its mean momentum only.
-    """
-    phase = (
-        -2.0 * lam**2 * n_photons
-        - (4.0 / 3.0) * beta * REDUCED_PLANCK * mass * omega * lam**4 * n_photons**3
-        + 2.0 * beta * lam**2 * n_photons * p_mean**2
-    )
-    return complex(xi) * complex(math.cos(phase), math.sin(phase))
-
-
-def optomech_phase_coefficient(
-    lam: float, n_photons: float, mass: float, omega: float, p_mean: float = 0.0
-) -> float:
-    """Deformation-phase magnitude per unit beta of the pulse field."""
-    return (
-        (4.0 / 3.0) * REDUCED_PLANCK * mass * omega * lam**4 * n_photons**3
-        + 2.0 * lam**2 * n_photons * p_mean**2
-    )
-
-
-def optomech_ratio_bound(
-    phase_resolution: float,
-    lam: float,
-    n_photons: float,
-    mass: float,
-    omega: float,
-    p_mean: float = 0.0,
-) -> RatioBound:
-    """Ratio bound from an unresolved deformation phase on the pulse.
-
-    The extra phase is linear in beta, so the smallest resolvable phase
-    maps directly onto an upper bound for beta0 N^-alpha.
-    """
-    if phase_resolution < 0.0:
-        raise ValueError("phase resolution must be non-negative")
-    coefficient = optomech_phase_coefficient(lam, n_photons, mass, omega, p_mean)
-    if coefficient <= 0.0:
-        raise ValueError("deformation phase coefficient must be positive")
-    upper = phase_resolution * PLANCK_MOMENTUM_SQ / coefficient
-    return RatioBound(lower=0.0, upper=upper)
-
-
-def literature_bounds() -> list[ExperimentScenario]:
-    """Registry entries carrying fixed published alpha bounds."""
-    return [
-        s for s in load_scenarios() if "alpha_min_at_unit_strength" in s.reference
-    ]
 
 
 # --- registry loading ------------------------------------------------------
@@ -400,6 +320,65 @@ def load_scenarios(path: "str | None" = None) -> list[ExperimentScenario]:
     return [_scenario_from_record(i, rec) for i, rec in enumerate(entries)]
 
 
+def _registered_count(scenario: ExperimentScenario) -> float:
+    if scenario.n_particles is None:
+        raise ScenarioError(f"scenario {scenario.label!r} lacks n_particles")
+    return scenario.n_particles
+
+
+def _pendulum_fit(scenario: ExperimentScenario, fit_bound: RatioBound | None):
+    # mass, gravity, sigmas and confidence level come from the config
+    # that drove the fit, so registry parameters would be ignored
+    if scenario.parameters:
+        raise ScenarioError(
+            f"scenario {scenario.label!r}: pendulum-fit takes its settings from "
+            f"the config, not parameters: {', '.join(sorted(scenario.parameters))}"
+        )
+    if fit_bound is None:
+        raise ScenarioError(f"scenario {scenario.label!r} needs a fitted RatioBound")
+    return fit_bound.upper, _registered_count(scenario)
+
+
+def _levitation(scenario: ExperimentScenario, fit_bound: RatioBound | None):
+    p = scenario.parameters
+    try:
+        mass = sphere_mass(p["density_kg_m3"], p["radius_m"])
+        omega = levitation_frequency(
+            p["density_kg_m3"], p["susceptibility"], p["field_gradient_T_m"]
+        )
+        bound = levitation_ratio_bound(
+            mass,
+            omega,
+            p["amplitude_m"],
+            damping=p.get("damping_hz", 0.0),
+            n_measurements=int(p.get("n_measurements", 1)),
+            delta_omega_override=p.get("delta_omega_override_hz"),
+        )
+    except KeyError as exc:
+        raise ScenarioError(
+            f"scenario {scenario.label!r} lacks parameter {exc.args[0]!r}"
+        ) from None
+    n = scenario.n_particles
+    return bound.upper, nucleon_count(mass) if n is None else n
+
+
+def _registered(scenario: ExperimentScenario, fit_bound: RatioBound | None):
+    if "ratio_upper" not in scenario.parameters:
+        raise ScenarioError(f"scenario {scenario.label!r} lacks 'ratio_upper'")
+    return float(scenario.parameters["ratio_upper"]), _registered_count(scenario)
+
+
+# kind -> resolver (scenario, fit_bound) -> (B, N); the keys are the
+# accepted kinds.  oscillator-frequency and optomechanical entries both
+# carry a registered composite bound.
+_RESOLVERS = {
+    "pendulum-fit": _pendulum_fit,
+    "oscillator-frequency": _registered,
+    "levitation": _levitation,
+    "optomechanical": _registered,
+}
+
+
 def resolve_scenario(
     scenario: ExperimentScenario, fit_bound: "RatioBound | None" = None
 ) -> tuple[float, float]:
@@ -409,38 +388,4 @@ def resolve_scenario(
     fit; levitation entries derive everything from their physical
     parameters; the remaining kinds carry a registered ratio_upper.
     """
-    p = scenario.parameters
-    if scenario.kind == "pendulum-fit":
-        if fit_bound is None:
-            raise ScenarioError(
-                f"scenario {scenario.label!r} needs a fitted RatioBound"
-            )
-        if scenario.n_particles is None:
-            raise ScenarioError(f"scenario {scenario.label!r} lacks n_particles")
-        return fit_bound.upper, scenario.n_particles
-    if scenario.kind == "levitation":
-        try:
-            mass = sphere_mass(p["density_kg_m3"], p["radius_m"])
-            omega = levitation_frequency(
-                p["density_kg_m3"], p["susceptibility"], p["field_gradient_T_m"]
-            )
-            bound = levitation_ratio_bound(
-                mass,
-                omega,
-                p["amplitude_m"],
-                damping=p.get("damping_hz", 0.0),
-                n_measurements=int(p.get("n_measurements", 1)),
-                delta_omega_override=p.get("delta_omega_override_hz"),
-            )
-        except KeyError as exc:
-            raise ScenarioError(
-                f"scenario {scenario.label!r} lacks parameter {exc.args[0]!r}"
-            ) from None
-        n = scenario.n_particles
-        return bound.upper, nucleon_count(mass) if n is None else n
-    # oscillator-frequency and optomechanical: registered composite bound
-    if "ratio_upper" not in p:
-        raise ScenarioError(f"scenario {scenario.label!r} lacks 'ratio_upper'")
-    if scenario.n_particles is None:
-        raise ScenarioError(f"scenario {scenario.label!r} lacks n_particles")
-    return float(p["ratio_upper"]), scenario.n_particles
+    return _RESOLVERS[scenario.kind](scenario, fit_bound)

@@ -131,13 +131,6 @@ def _pendulum_from_config(config: dict, length: float) -> dynamics.PendulumConfi
     )
 
 
-def _grid_from_config(config: dict) -> np.ndarray:
-    g = config["grid"]
-    return 10.0 ** np.linspace(
-        math.log10(g["beta0_min"]), math.log10(g["beta0_max"]), g["points"]
-    )
-
-
 # --- dataset ingestion -----------------------------------------------------
 
 _BASE_COLUMNS = ("amplitude_sq_cm2", "period_s")
@@ -309,11 +302,8 @@ def _scenario_curves(config: dict) -> list[dict]:
             config["fit"]["sigma_period_s"],
         )
         report = _fit_chain(dataset, config)
-        fit_bound = bounds.RatioBound(
-            lower=report["ratio_bound"]["lower"],
-            upper=report["ratio_bound"]["upper"],
-        )
-    grid = _grid_from_config(config)
+        fit_bound = bounds.RatioBound(**report["ratio_bound"])
+    grid = bounds.beta0_log_grid(**config["grid"])
     curves = []
     for scenario in scenarios:
         if scenario.style == "none":
@@ -645,13 +635,8 @@ def main(argv: "list[str] | None" = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, bounds.ScenarioError) as exc:
-        print(f"gup: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except evfit.DegenerateDataError as exc:
-        print(f"gup: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    # ConfigError, DatasetError and ScenarioError are ValueErrors
+    except (ValueError, evfit.DegenerateDataError) as exc:
         print(f"gup: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _NUMERIC_FAILURES as exc:

@@ -43,7 +43,6 @@ __all__ = [
     "TrajectorySample",
     "QuadratureError",
     "TrajectoryError",
-    "effective_beta",
     "momentum_remap",
     "period_first_order",
     "period_exact_quadrature",
@@ -105,11 +104,6 @@ class DeformationParams:
                 f"alpha={self.alpha!r}"
             )
         return beta
-
-
-def effective_beta(params: DeformationParams) -> float:
-    """SI deformation strength of ``params``, see DeformationParams."""
-    return params.effective_beta
 
 
 def _as_beta(deformation: "float | DeformationParams") -> float:
@@ -394,9 +388,9 @@ def integrate_trajectory(
     The bob starts at theta = +phi.  Hamilton's equations are integrated
     in the canonical pair (x, ptilde), whose flow is smooth through the
     turning points, in a single high-order solve; the dense output is
-    sampled as theta = asin(x / L).  Samples are returned on a uniform
-    grid unless explicit times are given, and are monotone in time
-    either way.
+    sampled as theta = asin(x / L).  Unless explicit times are given,
+    samples lie on a uniform grid of 256 per period_exact_quadrature
+    period (at least 64); they are monotone in time either way.
     """
     beta = _as_beta(deformation)
     phi = _check_angular_amplitude(angular_amplitude)
@@ -406,8 +400,8 @@ def integrate_trajectory(
     rel_tol = _check_rel_tol(rel_tol)
 
     if times is None:
-        approx_period = pend.small_period * (1.0 + phi * phi / 16.0)
-        count = max(64, int(256 * t_end / approx_period))
+        period = period_exact_quadrature(pend, beta, phi)
+        count = max(64, round(256 * t_end / period))
         grid = np.linspace(0.0, t_end, count)
     else:
         grid = np.asarray(times, dtype=float)

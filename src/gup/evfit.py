@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 __all__ = [
     "MeasurementSeries",
@@ -173,17 +173,12 @@ def _profile_pieces(series: MeasurementSeries, b: float):
     return w, sw, a, r
 
 
-def _profile_value(series: MeasurementSeries, b: float) -> float:
-    w, _, _, r = _profile_pieces(series, b)
-    return float(np.sum(w * r * r))
-
-
 def _profile_derivatives(series: MeasurementSeries, b: float):
-    """h(b), h'(b), h''(b) of the profiled objective.
+    """h(b), h'(b) and the joint (intercept, slope) Hessian haa, hab, hbb.
 
     By the envelope theorem the intercept's b-dependence drops out of
-    h', but it does contribute to h'' through the Schur complement of
-    the (a, b) Hessian.
+    h', but it does contribute to h''(b) = hbb - hab^2 / haa, the Schur
+    complement of the (a, b) Hessian of the xi-profiled objective.
     """
     x, sx2 = series.x, series.sigma_x**2
     w, sw, _, r = _profile_pieces(series, b)
@@ -194,19 +189,7 @@ def _profile_derivatives(series: MeasurementSeries, b: float):
     haa = 2.0 * sw
     hab = float(np.sum(-2.0 * wp * r + 2.0 * w * x))
     hbb = float(np.sum(wpp * r * r - 4.0 * wp * r * x + 2.0 * w * x * x))
-    return h, hp, hbb - hab * hab / haa
-
-
-def _profile_hessian(series: MeasurementSeries, b: float):
-    """Joint (intercept, slope) Hessian of the xi-profiled objective."""
-    x, sx2 = series.x, series.sigma_x**2
-    w, sw, _, r = _profile_pieces(series, b)
-    wp = -2.0 * b * sx2 * w * w
-    wpp = -2.0 * sx2 * w * w + 8.0 * b * b * sx2 * sx2 * w**3
-    haa = 2.0 * sw
-    hab = float(np.sum(-2.0 * wp * r + 2.0 * w * x))
-    hbb = float(np.sum(wpp * r * r - 4.0 * wp * r * x + 2.0 * w * x * x))
-    return haa, hab, hbb
+    return h, hp, haa, hab, hbb
 
 
 def _stationary_brackets(series: MeasurementSeries, b0: float):
@@ -243,7 +226,8 @@ def _newton_on_bracket(series: MeasurementSeries, lo: float, hi: float) -> float
     flo = _profile_derivatives(series, lo)[1]
     b = 0.5 * (lo + hi)
     for _ in range(100):
-        _, hp, hpp = _profile_derivatives(series, b)
+        _, hp, haa, hab, hbb = _profile_derivatives(series, b)
+        hpp = hbb - hab * hab / haa
         if hp == 0.0:
             return b
         if flo * hp < 0.0:
@@ -274,11 +258,10 @@ def odr_fit(series: MeasurementSeries) -> LinearFit:
     if not brackets:
         raise FitConvergenceError("no stationary point of the slope profile found")
     candidates = [_newton_on_bracket(series, lo, hi) for lo, hi in brackets]
-    slope = min(candidates, key=lambda b: _profile_value(series, b))
-    _, sw, intercept, r = _profile_pieces(series, slope)
-    w = 1.0 / (series.sigma_y**2 + slope * slope * series.sigma_x**2)
+    slope = min(candidates, key=lambda b: _profile_derivatives(series, b)[0])
+    w, _, intercept, r = _profile_pieces(series, slope)
     chi2 = float(np.sum(w * r * r))
-    cov = _covariance_from_hessian(*_profile_hessian(series, slope))
+    cov = _covariance_from_hessian(*_profile_derivatives(series, slope)[2:])
     return _finish(slope, intercept, cov, chi2, len(series), "odr")
 
 
@@ -298,5 +281,5 @@ def confidence_interval(
         center, se = fit.intercept, fit.intercept_se
     else:
         raise ValueError("parameter must be 'slope' or 'intercept'")
-    half = stats.t.ppf(0.5 * (1.0 + level), fit.dof) * se
+    half = stdtrit(fit.dof, 0.5 * (1.0 + level)) * se
     return (center - half, center + half)

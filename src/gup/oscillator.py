@@ -52,6 +52,9 @@ _GK_TAIL_TOLERANCE = 1e-12
 # x and p couple |n> to |n +- 3>, so the top of a truncated block is
 # corrupted; keep this many buffer levels beyond the state's support.
 _LEVEL_BUFFER = 4
+# dense complex D x D matrices cost 16 D^2 bytes each and O(D^3) to
+# multiply; 1024 levels is 16 MiB per matrix
+_MAX_DIMENSION = 1024
 
 
 class TruncationError(RuntimeError):
@@ -207,10 +210,16 @@ def build_truncated_operators(
     beta, kept in the stated normal-ordered form; reordering them would
     change the result at the same order.  The top 3 rows and columns of
     any product involving x or p are truncation-corrupted because both
-    couple n to n +- 3.
+    couple n to n +- 3.  More than 1024 levels raise TruncationError
+    before anything is allocated.
     """
     if dimension < 8:
         raise ValueError("need at least 8 levels for the cubic ladder terms")
+    if dimension > _MAX_DIMENSION:
+        raise TruncationError(
+            f"{dimension} Fock levels requested; dense operators are capped "
+            f"at {_MAX_DIMENSION} levels"
+        )
     m, w, hbar, beta = model.mass, model.omega, model.hbar, model.beta
     levels = np.arange(1, dimension)
     e = np.array([number_operator_eigenvalue(int(n), model) for n in levels])

@@ -89,6 +89,43 @@ def pendulum_period_beta_derivative(
     return -4.0 * mass**2 * length * math.sqrt(2.0 * gravity * length) * integral
 
 
+def york_line_fit(x, y, sigma_x, sigma_y):
+    """Straight-line fit with errors on both axes, York et al. 2004.
+
+    The iteration of D. York, N. M. Evensen, M. L. Martinez and
+    J. De Basabe Delgado, Am. J. Phys. 72, 367 (2004), section III, for
+    uncorrelated errors: with weights W_i = 1 / (sy_i^2 + b^2 sx_i^2),
+    centred data U, V and beta_i = W_i (U_i sy_i^2 + b V_i sx_i^2) the
+    slope is refined as b = sum W beta V / sum W beta U from the OLS
+    start until it stops moving.  Independent of scipy and of the
+    profile-Newton code in gup.evfit.
+
+    Returns (intercept, slope, chi2) with chi2 = sum W (y - a - b x)^2,
+    the minimized orthogonal-distance objective.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    sx2 = np.broadcast_to(np.asarray(sigma_x, dtype=float) ** 2, x.shape)
+    sy2 = np.broadcast_to(np.asarray(sigma_y, dtype=float) ** 2, x.shape)
+    xc, yc = x - x.mean(), y - y.mean()
+    b = float(np.sum(xc * yc) / np.sum(xc * xc))
+    for _ in range(500):
+        w = 1.0 / (sy2 + b * b * sx2)
+        x_bar, y_bar = np.sum(w * x) / np.sum(w), np.sum(w * y) / np.sum(w)
+        u, v = x - x_bar, y - y_bar
+        beta = w * (u * sy2 + b * v * sx2)
+        b_next = float(np.sum(w * beta * v) / np.sum(w * beta * u))
+        converged = abs(b_next - b) <= 1e-14 * abs(b_next)
+        b = b_next
+        if converged:
+            break
+    else:
+        raise RuntimeError("York iteration did not converge")
+    w = 1.0 / (sy2 + b * b * sx2)
+    a = float(np.sum(w * y) / np.sum(w) - b * np.sum(w * x) / np.sum(w))
+    chi2 = float(np.sum(w * (y - a - b * x) ** 2))
+    return a, b, chi2
+
+
 @pytest.fixture(scope="session")
 def experiment() -> PendulumConfig:
     return PendulumConfig(mass=1.22, length=2.9954, gravity=9.80393)

@@ -14,25 +14,20 @@ from gup.bounds import (
     RatioBound,
     ScenarioError,
     alpha_bound,
-    default_beta0_grid,
+    beta0_log_grid,
     derived_length,
     exclusion_boundary,
     levitation_frequency,
     levitation_ratio_bound,
-    literature_bounds,
     load_scenarios,
     nucleon_count,
-    optomech_coupling,
-    optomech_field,
-    optomech_phase_coefficient,
-    optomech_ratio_bound,
     ratio_bound_from_fit,
     resolve_scenario,
     slope_coefficients,
     sphere_mass,
     theoretical_slope,
 )
-from gup.constants import ATOMIC_MASS_UNIT, PLANCK_MOMENTUM_SQ, REDUCED_PLANCK
+from gup.constants import ATOMIC_MASS_UNIT, PLANCK_MOMENTUM_SQ
 from gup.dynamics import PendulumConfig
 from gup.evfit import confidence_interval, odr_fit
 
@@ -125,7 +120,7 @@ class TestAlphaBound:
 
 class TestExclusionBoundary:
     def test_default_grid(self):
-        grid = default_beta0_grid()
+        grid = beta0_log_grid()
         assert grid.size == 121
         assert grid[0] == pytest.approx(1e-4, rel=1e-12)
         assert grid[-1] == pytest.approx(1e8, rel=1e-12)
@@ -154,6 +149,26 @@ class TestExclusionBoundary:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             exclusion_boundary(1.0, 1e6, beta0_grid=[])
+
+    @pytest.mark.parametrize("upper,n,grid,fragment", [
+        (0.0, 1e6, [1.0], "ratio upper bound must be positive"),
+        (1.0, 1.0, [1.0], "n_particles must exceed 1"),
+        (1.0, 1e6, [1.0, 0.0], "beta0 must be positive"),
+    ])
+    def test_rejects_degenerate_inputs(self, upper, n, grid, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            exclusion_boundary(upper, n, beta0_grid=grid)
+
+    def test_matches_pointwise_alpha_bound(self):
+        grid = beta0_log_grid(1e-3, 1e7, 57)
+        boundary = exclusion_boundary(0.3, 5e18, beta0_grid=grid)
+        for beta0, alpha in boundary.points:
+            assert alpha == pytest.approx(alpha_bound(0.3, 5e18, beta0), abs=1e-15)
+
+    def test_configured_grid_endpoints(self):
+        grid = beta0_log_grid(1e-2, 1e4, 7)
+        np.testing.assert_allclose(grid, 10.0 ** np.arange(-2.0, 5.0), rtol=1e-15)
+        assert beta0_log_grid(points=1).tolist() == [1e-4]
 
 
 class TestNucleonCount:
@@ -200,50 +215,6 @@ class TestLevitation:
             levitation_ratio_bound(10.0, 36.8, 0.1)
 
 
-class TestOptomech:
-    def test_coupling_formula(self):
-        lam = optomech_coupling(1e5, 1064e-9, 1e-11, 1e5)
-        expected = (4.0 * 1e5 / 1064e-9) * math.sqrt(REDUCED_PLANCK / (1e-11 * 1e5))
-        assert lam == pytest.approx(expected, rel=1e-14)
-
-    def test_field_magnitude_preserved(self):
-        out = optomech_field(0.5 + 0.2j, 1.3, 10.0, 1e-3, 1e-11, 1e5)
-        assert abs(out) == pytest.approx(abs(0.5 + 0.2j), rel=1e-12)
-
-    def test_undeformed_phase(self):
-        lam, n_p = 1.3, 10.0
-        out = optomech_field(1.0, lam, n_p, 0.0, 1e-11, 1e5)
-        expected = complex(math.cos(2 * lam**2 * n_p), -math.sin(2 * lam**2 * n_p))
-        assert out == pytest.approx(expected, rel=1e-12)
-
-    def test_deformation_phase_linear_in_beta(self):
-        lam, n_p, m, w = 1.3, 10.0, 1e-11, 1e5
-        base = optomech_field(1.0, lam, n_p, 0.0, m, w)
-        coeff = optomech_phase_coefficient(lam, n_p, m, w)
-        for beta in (1e-3, 2e-3):
-            rotated = optomech_field(1.0, lam, n_p, beta, m, w)
-            extra = np.angle(rotated / base)
-            assert extra == pytest.approx(-beta * coeff, rel=1e-9)
-
-    def test_momentum_term_enters_squared(self):
-        # the budget adds the two phase magnitudes; p enters as p^2
-        lam, n_p, m, w = 0.9, 5.0, 1e-11, 1e5
-        c0 = optomech_phase_coefficient(lam, n_p, m, w, p_mean=0.0)
-        c1 = optomech_phase_coefficient(lam, n_p, m, w, p_mean=2.0)
-        assert c1 - c0 == pytest.approx(2.0 * lam**2 * n_p * 4.0, rel=1e-12)
-
-    def test_ratio_bound_scales_with_resolution(self):
-        kwargs = dict(lam=1.3, n_photons=10.0, mass=1e-11, omega=1e5)
-        weak = optomech_ratio_bound(1e-3, **kwargs)
-        strong = optomech_ratio_bound(1e-6, **kwargs)
-        assert weak.upper == pytest.approx(1e3 * strong.upper, rel=1e-12)
-        assert strong.lower == 0.0
-
-    def test_rejects_negative_resolution(self):
-        with pytest.raises(ValueError):
-            optomech_ratio_bound(-1.0, lam=1.0, n_photons=1.0, mass=1.0, omega=1.0)
-
-
 class TestRegistry:
     def test_bundled_registry_loads(self):
         scenarios = load_scenarios()
@@ -255,7 +226,10 @@ class TestRegistry:
 
     def test_literature_boundary_points_at_unit_strength(self):
         registered = {
-            s.label: s for s in literature_bounds() if s.kind == "oscillator-frequency"
+            s.label: s
+            for s in load_scenarios()
+            if s.kind == "oscillator-frequency"
+            and "alpha_min_at_unit_strength" in s.reference
         }
         assert len(registered) == 2
         for scenario, expected in zip(
@@ -281,6 +255,25 @@ class TestRegistry:
         upper, n = resolve_scenario(scenario, RatioBound(0.0, 0.011))
         assert upper == 0.011
         assert n == 7.32e26
+
+    def test_pendulum_scenario_rejects_parameters(self):
+        # the fit reads mass, gravity, sigmas and level from the config only
+        scenario = ExperimentScenario(
+            kind="pendulum-fit", label="bob", n_particles=7.32e26,
+            parameters={"mass_kg": 1.22, "confidence_level": 0.9},
+        )
+        with pytest.raises(ScenarioError, match="confidence_level, mass_kg"):
+            resolve_scenario(scenario, RatioBound(0.0, 0.011))
+
+    @pytest.mark.parametrize("kind", ["oscillator-frequency", "optomechanical"])
+    def test_registered_kinds_read_ratio_upper(self, kind):
+        entry = ExperimentScenario(
+            kind=kind, label="probe", n_particles=1e9, parameters={"ratio_upper": 2.0}
+        )
+        assert resolve_scenario(entry) == (2.0, 1e9)
+        bare = ExperimentScenario(kind=kind, label="bare", n_particles=1e9, parameters={})
+        with pytest.raises(ScenarioError, match="lacks 'ratio_upper'"):
+            resolve_scenario(bare)
 
     def test_inferred_parameters_are_flagged(self):
         flagged = [s for s in load_scenarios() if s.inferred]

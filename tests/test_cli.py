@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
-from gup import cli
+import gup
+from gup import cli, oscillator
 from gup.bounds import slope_coefficients
 from gup.dynamics import PendulumConfig
 
@@ -235,6 +239,21 @@ class TestExclusion:
         assert code == 0
         assert len((in_tmp / "one.csv").read_text().splitlines()) == 1 + 4
 
+    def test_pendulum_entry_parameters_rejected(self, capsys, in_tmp):
+        # the fit takes mass, gravity, sigmas and level from the config only
+        registry = in_tmp / "reg.json"
+        registry.write_text(json.dumps({"version": 1, "scenarios": [{
+            "kind": "pendulum-fit",
+            "label": "bob",
+            "n_particles": 7.32e26,
+            "parameters": {"mass_kg": 1.5, "gravity_m_s2": 9.81},
+        }]}))
+        conf = in_tmp / "conf.json"
+        conf.write_text(json.dumps({"scenarios": str(registry)}))
+        code, _, err = run(capsys, "exclusion", "--config", str(conf))
+        assert code == 1
+        assert "gravity_m_s2, mass_kg" in err
+
 
 class TestPeriod:
     def test_first_order_at_rest(self, capsys):
@@ -311,6 +330,17 @@ class TestQuantumCheck:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_oversized_fock_space_refused(self, capsys):
+        # the ceiling must hold before the CLI is asked for 10,461 levels,
+        # which as dense complex matrices would take 1.75 GB each
+        model = oscillator.OscillatorModel(mass=1.0, omega=1.0, hbar=1.0, beta=5e-6)
+        with pytest.raises(oscillator.TruncationError):
+            oscillator.build_truncated_operators(model, 1025)
+        code, _, err = run(capsys, "quantum-check", "--j", "1e4")
+        assert code == 2
+        assert "10461 Fock levels" in err
+        assert "1024 levels" in err
+
 
 class TestScenarios:
     def test_list(self, capsys):
@@ -339,6 +369,17 @@ class TestScenarios:
         assert code == 0
         assert "bench" in out
         assert "macroscopic pendulum" not in out
+
+
+class TestImports:
+    def test_cli_import_skips_scipy_stats(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(gup.__file__).parents[1]))
+        probe = "import sys, gup.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestExitCodes:

@@ -13,7 +13,6 @@ from gup.dynamics import (
     PendulumConfig,
     QuadratureError,
     TrajectoryError,
-    effective_beta,
     harmonic_frequency_shift,
     integrate_oscillator_trajectory,
     integrate_trajectory,
@@ -37,10 +36,6 @@ class TestDeformationParams:
         base = DeformationParams(beta0=1.0)
         suppressed = DeformationParams(beta0=1.0, alpha=2.0, n_particles=10.0)
         assert suppressed.effective_beta == pytest.approx(base.effective_beta / 100.0, rel=1e-14)
-
-    def test_effective_beta_function_matches_property(self):
-        params = DeformationParams(beta0=3.5, alpha=0.4, n_particles=7.32e26)
-        assert effective_beta(params) == params.effective_beta
 
     def test_zero_strength_is_exactly_zero(self):
         assert DeformationParams(beta0=0.0).effective_beta == 0.0
@@ -198,6 +193,14 @@ class TestTrajectory:
         reference = period_exact_quadrature(experiment, deformation, phi, rel_tol=1e-12)
         measured = trajectory_period(experiment, deformation, phi, rel_tol=1e-10)
         assert measured == pytest.approx(reference, rel=1e-6)
+
+    @pytest.mark.parametrize("beta0,phi", [(0.0, 0.05), (1e6, 0.05)])
+    def test_default_grid_resolves_every_period(self, experiment, beta0, phi):
+        # the deformation at beta0 = 1e6 shortens the period about 50-fold
+        deformation = DeformationParams(beta0=beta0)
+        period = trajectory_period(experiment, deformation, phi)
+        samples = integrate_trajectory(experiment, deformation, phi, 4.0 * period)
+        assert len(samples) / 4.0 >= 250
 
     def test_angle_bounded_by_amplitude(self, experiment):
         phi = 0.4
