@@ -21,11 +21,12 @@ by name.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -61,7 +62,11 @@ _DEFAULT_CONFIG = {
         "sigma_amplitude_sq_m2": 5e-3,
         "sigma_period_s": 1e-4,
     },
-    "grid": {"beta0_min": 1e-4, "beta0_max": 1e8, "points": 121},
+    # the library's default grid: the defaults of bounds.beta0_log_grid
+    "grid": {
+        name: param.default
+        for name, param in inspect.signature(bounds.beta0_log_grid).parameters.items()
+    },
     "scenarios": None,
 }
 
@@ -348,7 +353,6 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
                 label=curve["label"],
                 points=list(curve["boundary"].points),
                 style=curve["style"],
-                shade_below=True,
             )
             for curve in curves
         ]
@@ -357,7 +361,6 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
             title="Excluded deformation parameters (shaded side ruled out)",
             x_label="beta0",
             y_label="alpha",
-            x_log=True,
             x_range=(config["grid"]["beta0_min"], config["grid"]["beta0_max"]),
             y_range=(-1.0, 1.0),
         )
@@ -422,8 +425,8 @@ def _check_line(name: str, passed: bool, detail: str) -> bool:
     return passed
 
 
-def _commutator_residual(model: oscillator.OscillatorModel, dim: int) -> float:
-    ops = oscillator.build_truncated_operators(model, dim)
+def _commutator_residual(ops: oscillator.TruncatedOperators) -> float:
+    model, dim = ops.model, ops.dimension
     target = 1j * model.hbar * (
         np.eye(dim, dtype=complex) + model.beta * (ops.p @ ops.p)
     )
@@ -436,8 +439,13 @@ def cmd_quantum_check(args: argparse.Namespace) -> int:
     model = oscillator.OscillatorModel(
         mass=args.mass, omega=args.omega, hbar=args.hbar, beta=args.beta
     )
-    state = oscillator.gazeau_klauder_state(model, args.j, 0.0, args.dimension)
-    dim = state.dimension
+    half = replace(model, beta=0.5 * model.beta)
+    dim = args.dimension
+    if dim is None:
+        # the closed-form check's beta/2 state needs at least as many
+        # levels as the beta state
+        dim = oscillator.choose_dimension(half, args.j)
+    state = oscillator.gazeau_klauder_state(model, args.j, 0.0, dim)
     ops = oscillator.build_truncated_operators(model, dim)
     ok = True
 
@@ -461,16 +469,13 @@ def cmd_quantum_check(args: argparse.Namespace) -> int:
         "<h> = hbar omega J", h_err < 1e-10, f"rel_err={h_err:.3e} tol=1e-10"
     )
 
-    residuals = []
     scales = (1.0, 0.1, 0.01)
-    for scale in scales:
-        scaled = oscillator.OscillatorModel(
-            mass=model.mass,
-            omega=model.omega,
-            hbar=model.hbar,
-            beta=model.beta * scale,
+    residuals = [_commutator_residual(ops)]
+    for scale in scales[1:]:
+        scaled = replace(model, beta=model.beta * scale)
+        residuals.append(
+            _commutator_residual(oscillator.build_truncated_operators(scaled, dim))
         )
-        residuals.append(_commutator_residual(scaled, dim))
     slope = np.polyfit(
         np.log10([model.beta * s for s in scales]), np.log10(residuals), 1
     )[0]
@@ -482,9 +487,9 @@ def cmd_quantum_check(args: argparse.Namespace) -> int:
 
     times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
 
-    def closed_vs_matrix(mod: oscillator.OscillatorModel) -> float:
+    def closed_vs_matrix(op: oscillator.TruncatedOperators) -> float:
+        mod = op.model
         st = oscillator.gazeau_klauder_state(mod, args.j, 0.0, dim)
-        op = oscillator.build_truncated_operators(mod, dim)
         worst = 0.0
         for t in times:
             ev = oscillator.evolve_gk(st, mod, float(t))
@@ -495,11 +500,8 @@ def cmd_quantum_check(args: argparse.Namespace) -> int:
             worst = max(worst, abs(xm - xc))
         return worst
 
-    dev_full = closed_vs_matrix(model)
-    half = oscillator.OscillatorModel(
-        mass=model.mass, omega=model.omega, hbar=model.hbar, beta=0.5 * model.beta
-    )
-    dev_half = closed_vs_matrix(half)
+    dev_full = closed_vs_matrix(ops)
+    dev_half = closed_vs_matrix(oscillator.build_truncated_operators(half, dim))
     ratio = dev_full / dev_half if dev_half else math.inf
     ok &= _check_line(
         "closed form vs matrix <x>",
@@ -508,10 +510,7 @@ def cmd_quantum_check(args: argparse.Namespace) -> int:
     )
 
     amplitude = math.sqrt(2.0 * model.hbar * args.j / (model.mass * model.omega))
-    tiny_hbar = model.hbar * 1e-6
-    classical = oscillator.OscillatorModel(
-        mass=model.mass, omega=model.omega, hbar=tiny_hbar, beta=model.beta
-    )
+    classical = replace(model, hbar=model.hbar * 1e-6)
     x_ode = dynamics.integrate_oscillator_trajectory(
         model.mass, model.omega, model.beta, amplitude, times
     )

@@ -52,8 +52,8 @@ _GK_TAIL_TOLERANCE = 1e-12
 # x and p couple |n> to |n +- 3>, so the top of a truncated block is
 # corrupted; keep this many buffer levels beyond the state's support.
 _LEVEL_BUFFER = 4
-# dense complex D x D matrices cost 16 D^2 bytes each and O(D^3) to
-# multiply; 1024 levels is 16 MiB per matrix
+# dense complex D x D matrices cost 16 D^2 bytes each, 16 MiB at 1024
+# levels; filling their bands is O(D^2)
 _MAX_DIMENSION = 1024
 
 
@@ -103,6 +103,13 @@ def number_operator_eigenvalue(n: int, model: OscillatorModel) -> float:
     """Eigenvalue e_n = n (1 + nu + nu n) of a^dag a."""
     if n < 0:
         raise ValueError("level index must be non-negative")
+    nu = model.ladder_deformation
+    return n * (1.0 + nu + nu * n)
+
+
+def _level_eigenvalues(model: OscillatorModel, count: int) -> np.ndarray:
+    """e_n for n < count, elementwise as in number_operator_eigenvalue."""
+    n = np.arange(count, dtype=float)
     nu = model.ladder_deformation
     return n * (1.0 + nu + nu * n)
 
@@ -208,10 +215,12 @@ def build_truncated_operators(
 
     x and p include the cubic ladder corrections at first order in
     beta, kept in the stated normal-ordered form; reordering them would
-    change the result at the same order.  The top 3 rows and columns of
-    any product involving x or p are truncation-corrupted because both
-    couple n to n +- 3.  More than 1024 levels raise TruncationError
-    before anything is allocated.
+    change the result at the same order.  Each term is filled on its
+    band from products of sqrt(e_n); being normal-ordered, it equals the
+    truncated matrix product.  The top 3 rows and columns of any product
+    involving x or p are truncation-corrupted because both couple n to
+    n +- 3.  More than 1024 levels raise TruncationError before anything
+    is allocated.
     """
     if dimension < 8:
         raise ValueError("need at least 8 levels for the cubic ladder terms")
@@ -221,22 +230,24 @@ def build_truncated_operators(
             f"at {_MAX_DIMENSION} levels"
         )
     m, w, hbar, beta = model.mass, model.omega, model.hbar, model.beta
-    levels = np.arange(1, dimension)
-    e = np.array([number_operator_eigenvalue(int(n), model) for n in levels])
-    a = np.zeros((dimension, dimension), dtype=complex)
-    a[levels - 1, levels] = np.sqrt(e)
-    ad = a.conj().T
-    aa = a @ a
+    e = _level_eigenvalues(model, dimension)
+    s = np.sqrt(e)
+    # a^dag a a puts s_n e_(n-1) at (n-1, n) and a a a puts
+    # s_n s_(n-1) s_(n-2) at (n-3, n); their adjoints mirror them below
+    # the diagonal
+    cubic1 = s[1:] * e[:-1]
+    cubic3 = s[3:] * s[2:-1] * s[1:-2]
     c1 = math.sqrt(hbar / (2.0 * m * w))
     c2 = 0.25 * beta * math.sqrt(hbar**3 * m * w / 2.0)
-    x = c1 * (a + ad) + c2 * (ad @ aa + ad @ ad @ a - a @ aa - ad @ ad @ ad)
     c3 = math.sqrt(hbar * m * w / 2.0)
     c4 = beta * (hbar * m * w) ** 1.5 / (4.0 * math.sqrt(2.0))
-    p = 1j * c3 * (ad - a) + 1j * c4 * (
-        ad @ aa - ad @ ad @ a + a @ aa - ad @ ad @ ad + 2.0 * a - 2.0 * ad
-    )
-    e_all = np.concatenate([[0.0], e])
-    h = np.diag((hbar * w * e_all).astype(complex))
+    a = np.diag(s[1:], 1).astype(complex)
+    x_upper = np.diag(c1 * s[1:] + c2 * cubic1, 1) - np.diag(c2 * cubic3, 3)
+    x = (x_upper + x_upper.T).astype(complex)
+    p_upper = np.diag(c4 * (cubic1 + 2.0 * s[1:]) - c3 * s[1:], 1)
+    p_upper += np.diag(c4 * cubic3, 3)
+    p = 1j * (p_upper - p_upper.T)
+    h = np.diag((hbar * w * e).astype(complex))
     for mat in (a, x, p, h):
         mat.flags.writeable = False
     return TruncatedOperators(model=model, dimension=dimension, a=a, x=x, p=p, h=h)
@@ -339,9 +350,7 @@ def gazeau_klauder_state(
             f"of the state's weight in or beyond the top {_LEVEL_BUFFER} levels"
         )
     count = min(dimension, len(weights))
-    e = np.array(
-        [number_operator_eigenvalue(n, model) for n in range(count)]
-    )
+    e = _level_eigenvalues(model, count)
     magnitudes = np.exp(0.5 * (log_terms[:count] - peak)) / math.sqrt(total)
     amplitudes = np.zeros(dimension, dtype=complex)
     amplitudes[:count] = magnitudes * np.exp(-1j * gamma * e)
@@ -357,9 +366,7 @@ def evolve_gk(state: GKState, model: OscillatorModel, t: float) -> GKState:
     shifted phase is NOT 2 pi periodic in omega t for beta > 0 because
     the e_n are not integer spaced.
     """
-    e = np.array(
-        [number_operator_eigenvalue(n, model) for n in range(state.dimension)]
-    )
+    e = _level_eigenvalues(model, state.dimension)
     amplitudes = state.amplitudes * np.exp(-1j * model.omega * t * e)
     amplitudes.flags.writeable = False
     return GKState(

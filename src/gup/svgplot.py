@@ -1,7 +1,7 @@
 """Small deterministic SVG line charts.
 
 Exclusion plots need a log x axis, a handful of styled curves with a
-legend, and optional shading of the excluded side.  Emitting the SVG
+legend, and shading of the excluded side.  Emitting the SVG
 directly keeps the output byte-stable across runs and machines, which
 the CLI promises; nothing here depends on wall time, locale or any
 plotting library.
@@ -17,20 +17,19 @@ __all__ = ["Series", "line_chart"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 18.0, 40.0, 48.0
+_WIDTH, _HEIGHT = 760.0, 520.0
 
 
 @dataclass(frozen=True)
 class Series:
     """One curve: points in data coordinates plus a line style.
 
-    style is "solid" or "dashed"; shade_below fills the region under
-    the curve with a translucent wash of the same color.
+    style is "solid" or "dashed".
     """
 
     label: str
     points: Sequence[tuple[float, float]]
     style: str = "solid"
-    shade_below: bool = False
 
     def __post_init__(self) -> None:
         if self.style not in ("solid", "dashed"):
@@ -79,30 +78,25 @@ def _decade_label(exponent: int) -> str:
 
 def line_chart(
     series: Sequence[Series],
+    x_range: tuple[float, float],
+    y_range: tuple[float, float],
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    x_log: bool = False,
-    x_range: "tuple[float, float] | None" = None,
-    y_range: "tuple[float, float] | None" = None,
-    width: float = 760.0,
-    height: float = 520.0,
 ) -> str:
-    """Render curves to a standalone SVG document string."""
+    """Render curves on a log x axis to a standalone SVG document string.
+
+    The region below each curve is shaded with a translucent wash of
+    its color.
+    """
     if not series:
         raise ValueError("need at least one series")
-
-    xs = [p[0] for s in series for p in s.points]
-    ys = [p[1] for s in series for p in s.points]
-    if x_log and min(xs) <= 0.0:
+    if min(p[0] for s in series for p in s.points) <= 0.0:
         raise ValueError("log x axis requires positive x values")
 
-    def x_transform(value: float) -> float:
-        return math.log10(value) if x_log else value
-
-    x_lo, x_hi = x_range if x_range else (min(xs), max(xs))
-    y_lo, y_hi = y_range if y_range else (min(ys), max(ys))
-    tx_lo, tx_hi = x_transform(x_lo), x_transform(x_hi)
+    width, height = _WIDTH, _HEIGHT
+    y_lo, y_hi = y_range
+    tx_lo, tx_hi = math.log10(x_range[0]), math.log10(x_range[1])
     if tx_hi <= tx_lo:
         tx_hi = tx_lo + 1.0
     if y_hi <= y_lo:
@@ -112,7 +106,7 @@ def line_chart(
     plot_h = height - _MARGIN_T - _MARGIN_B
 
     def px(value: float) -> float:
-        return _MARGIN_L + (x_transform(value) - tx_lo) / (tx_hi - tx_lo) * plot_w
+        return _MARGIN_L + (math.log10(value) - tx_lo) / (tx_hi - tx_lo) * plot_w
 
     def py(value: float) -> float:
         return _MARGIN_T + (y_hi - value) / (y_hi - y_lo) * plot_h
@@ -134,12 +128,9 @@ def line_chart(
     )
 
     # gridlines and ticks
-    if x_log:
-        exponents = range(math.ceil(tx_lo), math.floor(tx_hi) + 1)
-        step = 2 if (tx_hi - tx_lo) > 8 else 1
-        x_ticks = [(10.0**e, _decade_label(e)) for e in exponents if e % step == 0]
-    else:
-        x_ticks = [(v, _format_tick(v)) for v in _linear_ticks(x_lo, x_hi)]
+    exponents = range(math.ceil(tx_lo), math.floor(tx_hi) + 1)
+    step = 2 if (tx_hi - tx_lo) > 8 else 1
+    x_ticks = [(10.0**e, _decade_label(e)) for e in exponents if e % step == 0]
     y_ticks = _linear_ticks(y_lo, y_hi)
     for value, label in x_ticks:
         x = px(value)
@@ -189,7 +180,7 @@ def line_chart(
     for index, s in enumerate(series):
         color = _PALETTE[index % len(_PALETTE)]
         coords = [(px(x), py(y)) for x, y in s.points]
-        if s.shade_below and len(coords) >= 2:
+        if len(coords) >= 2:
             shade = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
             bottom = _MARGIN_T + plot_h
             shade += f" {coords[-1][0]:.2f},{bottom:.2f} {coords[0][0]:.2f},{bottom:.2f}"

@@ -89,6 +89,45 @@ def pendulum_period_beta_derivative(
     return -4.0 * mass**2 * length * math.sqrt(2.0 * gravity * length) * integral
 
 
+def dense_truncated_operators(model, dimension: int):
+    """a, x, p and h of the deformed oscillator from dense matrix products.
+
+    The ladder form of Kempf, Mangano & Mann, Phys. Rev. D 52, 1108
+    (1995), multiplied out on the lowest ``dimension`` levels: a holds
+    sqrt(e_n) at (n-1, n) with e_n = n (1 + nu + nu n), nu = beta m hbar
+    omega / 2, and x and p add the normal-ordered cubic terms
+
+        x = c1 (a + a^dag) + c2 (a^dag a a + a^dag a^dag a - a a a - a^dag a^dag a^dag)
+        p = i c3 (a^dag - a) + i c4 (a^dag a a - a^dag a^dag a + a a a
+                                     - a^dag a^dag a^dag + 2 a - 2 a^dag)
+
+    with each product formed as D x D matrices.  a is real, so the
+    products run in real arithmetic; every entry of them has one nonzero
+    term, so they match complex products bit for bit.  Numpy only and
+    independent of gup.oscillator.  Returns (a, x, p, h).
+    """
+    m, w, hbar, beta = model.mass, model.omega, model.hbar, model.beta
+    nu = 0.5 * beta * m * hbar * w
+    levels = np.arange(1, dimension)
+    e = levels * (1.0 + nu + nu * levels)
+    a = np.zeros((dimension, dimension))
+    a[levels - 1, levels] = np.sqrt(e)
+    ad = a.T
+    aa = a @ a
+    ad_ad = ad @ ad
+    ad_aa, ad_ad_a, a_aa, ad_ad_ad = ad @ aa, ad_ad @ a, a @ aa, ad_ad @ ad
+    c1 = math.sqrt(hbar / (2.0 * m * w))
+    c2 = 0.25 * beta * math.sqrt(hbar**3 * m * w / 2.0)
+    x = c1 * (a + ad) + c2 * (ad_aa + ad_ad_a - a_aa - ad_ad_ad)
+    c3 = math.sqrt(hbar * m * w / 2.0)
+    c4 = beta * (hbar * m * w) ** 1.5 / (4.0 * math.sqrt(2.0))
+    p = 1j * c3 * (ad - a) + 1j * c4 * (
+        ad_aa - ad_ad_a + a_aa - ad_ad_ad + 2.0 * a - 2.0 * ad
+    )
+    h = np.diag(hbar * w * np.concatenate([[0.0], e]))
+    return a, x, p, h
+
+
 def york_line_fit(x, y, sigma_x, sigma_y):
     """Straight-line fit with errors on both axes, York et al. 2004.
 

@@ -325,20 +325,42 @@ class TestQuantumCheck:
         assert "FAIL" not in out
         assert "all quantum checks passed" in out
 
+    def test_sized_for_half_beta_state(self, capsys):
+        # the beta/2 state of the closed-form check needs more levels than
+        # the beta state at this point
+        code, out, _ = run(
+            capsys, "quantum-check", "--beta", "5.565862708719852e-07", "--j", "107.8"
+        )
+        assert code == 0
+        assert "all quantum checks passed" in out
+
+    def test_builds_each_operator_set_once(self, capsys, monkeypatch):
+        calls = []
+        build = oscillator.build_truncated_operators
+
+        def counting(model, dimension):
+            calls.append(model)
+            return build(model, dimension)
+
+        monkeypatch.setattr(oscillator, "build_truncated_operators", counting)
+        code, _, _ = run(capsys, "quantum-check")
+        assert code == 0
+        assert len(calls) == 4
+
     def test_undersized_truncation_fails_numerically(self, capsys):
         code, _, err = run(capsys, "quantum-check", "--j", "30", "--dimension", "12")
         assert code == 2
         assert "numerical failure" in err
 
     def test_oversized_fock_space_refused(self, capsys):
-        # the ceiling must hold before the CLI is asked for 10,461 levels,
+        # the ceiling must hold before the CLI is asked for 10,586 levels,
         # which as dense complex matrices would take 1.75 GB each
         model = oscillator.OscillatorModel(mass=1.0, omega=1.0, hbar=1.0, beta=5e-6)
         with pytest.raises(oscillator.TruncationError):
             oscillator.build_truncated_operators(model, 1025)
         code, _, err = run(capsys, "quantum-check", "--j", "1e4")
         assert code == 2
-        assert "10461 Fock levels" in err
+        assert "10586 Fock levels" in err
         assert "1024 levels" in err
 
 

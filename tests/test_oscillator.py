@@ -27,6 +27,8 @@ from gup.oscillator import (
     trajectory_x_closed_form,
 )
 
+from conftest import dense_truncated_operators
+
 
 def model_units(beta=0.0, hbar=1.0):
     return OscillatorModel(mass=1.0, omega=1.0, hbar=hbar, beta=beta)
@@ -242,6 +244,16 @@ class TestTruncatedOperators:
             residuals.append(np.max(np.abs((comm - target)[inner, inner])))
         slope = np.polyfit(np.log(betas), np.log(residuals), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
+
+    @pytest.mark.parametrize("hbar", [1.0, 1e-6])
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 2e-4, 5e-3])
+    @pytest.mark.parametrize("dimension", [8, 48, 60, 435, 1024])
+    def test_matches_dense_products(self, dimension, beta, hbar):
+        model = model_units(beta=beta, hbar=hbar)
+        ops = build_truncated_operators(model, dimension)
+        for name, dense in zip("axph", dense_truncated_operators(model, dimension)):
+            worst = np.max(np.abs(getattr(ops, name) - dense))
+            assert worst <= 1e-15 * np.max(np.abs(dense)), name
 
     def test_matrices_frozen(self, ops):
         with pytest.raises(ValueError):
