@@ -439,6 +439,10 @@ def cmd_quantum_check(args: argparse.Namespace) -> int:
     model = oscillator.OscillatorModel(
         mass=args.mass, omega=args.omega, hbar=args.hbar, beta=args.beta
     )
+    if model.beta == 0.0:
+        raise ValueError(
+            "the commutator-scaling check needs beta > 0; there is no deformation to scale"
+        )
     half = replace(model, beta=0.5 * model.beta)
     dim = args.dimension
     if dim is None:

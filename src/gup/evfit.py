@@ -192,11 +192,55 @@ def _profile_derivatives(series: MeasurementSeries, b: float):
     return h, hp, haa, hab, hbb
 
 
-def _stationary_brackets(series: MeasurementSeries, b0: float):
-    """Slope intervals on which h' changes sign.
+# grid slopes x rows held at once by the bracket scan
+_SCAN_BLOCK = 1 << 16
 
-    The profile of a line has at most two stationary points, so a sign
-    scan over a generous grid around the initial guess finds them all.
+
+def _scan_derivative(series: MeasurementSeries, grid: np.ndarray, a0: float, b0: float):
+    """h'(b) at every slope of ``grid`` from weighted moments.
+
+    The data are centred on the line a0 + b0 x (x~ = x - mean(x),
+    y~ = y - a0 - b0 x), so with d = b - b0 the residual is
+    r = y~ - d x~ - a~ and the profiled a~ = (S_y - d S_x) / S_1, where
+    S = W @ [1, x~, y~, x~y~, x~^2] and W_ij = 1 / (sy_j^2 + b_i^2 sx_j^2).
+    Since sum w r = 0 at a~, sum w r x = sum w r x~ and
+
+        h' = -2 b sum w^2 sx^2 r^2 - 2 (S_xy - a~ S_x - d S_xx),
+
+    with sum w^2 sx^2 r^2 expanded over the moments Q = (W o W) @
+    (sx^2 o [1, x~, y~, x~y~, x~^2, y~^2]).  W is the only grid x rows
+    array, built one block of slopes at a time.  The scan reads only the
+    signs; Newton and the covariance use the pointwise _profile_derivatives.
+    """
+    x, sx2, sy2 = series.x, series.sigma_x**2, series.sigma_y**2
+    xt = x - np.mean(x)
+    yt = series.y - a0 - b0 * x
+    moments = np.column_stack([np.ones_like(xt), xt, yt, xt * yt, xt * xt])
+    sq_moments = sx2[:, None] * np.column_stack([moments, yt * yt])
+    step = max(1, _SCAN_BLOCK // len(series))
+    values = np.empty(grid.size)
+    for start in range(0, grid.size, step):
+        b = grid[start : start + step]
+        w = np.multiply.outer(b * b, sx2)
+        w += sy2
+        np.reciprocal(w, out=w)
+        s1, sx, sy, sxy, sxx = (w @ moments).T
+        w *= w
+        q1, qx, qy, qxy, qxx, qyy = (w @ sq_moments).T
+        d = b - b0
+        at = (sy - d * sx) / s1
+        wr2 = qyy + d * d * qxx + at * at * q1 - 2.0 * (d * qxy + at * qy - d * at * qx)
+        values[start : start + step] = -2.0 * b * wr2 - 2.0 * (sxy - at * sx - d * sxx)
+    return values
+
+
+def _stationary_brackets(series: MeasurementSeries, a0: float, b0: float):
+    """Slope intervals on which h' changes sign, scanned around a0 + b0 x.
+
+    A sign scan over a generous grid around the initial guess.  With a
+    constant sigma_x / sigma_y ratio the profile has at most two
+    stationary points and the scan finds them all; with per-row sigmas it
+    can have more, and a close pair between two grid slopes is missed.
     """
     spread = np.ptp(series.y) / np.ptp(series.x)
     scale = max(abs(b0), spread, 1e-30)
@@ -208,8 +252,7 @@ def _stationary_brackets(series: MeasurementSeries, b0: float):
         ]
     )
     grid = np.unique(grid)
-    values = np.array([_profile_derivatives(series, b)[1] for b in grid])
-    signs = np.sign(values)
+    signs = np.sign(_scan_derivative(series, grid, a0, b0))
     brackets = []
     for i in range(len(grid) - 1):
         if signs[i] == 0.0:
@@ -249,12 +292,14 @@ def odr_fit(series: MeasurementSeries) -> LinearFit:
     """Straight-line fit treating both coordinates as uncertain.
 
     Minimizes the orthogonal-distance objective by profiling out the
-    per-point true abscissae and the intercept, then locating the global
-    minimum of the remaining one-dimensional slope profile.
+    per-point true abscissae and the intercept, then taking the lowest
+    stationary point of the remaining one-dimensional slope profile that
+    the bracket scan finds (the global minimum for a constant sigma ratio;
+    see _stationary_brackets).
     """
     _require_fittable(series)
-    b0 = wls_fit(series).slope
-    brackets = _stationary_brackets(series, b0)
+    start = wls_fit(series)
+    brackets = _stationary_brackets(series, start.intercept, start.slope)
     if not brackets:
         raise FitConvergenceError("no stationary point of the slope profile found")
     candidates = [_newton_on_bracket(series, lo, hi) for lo, hi in brackets]

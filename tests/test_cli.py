@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -346,6 +347,18 @@ class TestQuantumCheck:
         code, _, _ = run(capsys, "quantum-check")
         assert code == 0
         assert len(calls) == 4
+
+    def test_zero_beta_refused_before_any_check(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "quantum-check", "--beta", "0", "--j", "4")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "gup: error: the commutator-scaling check needs beta > 0; "
+            "there is no deformation to scale\n"
+        )
+        assert caught == []
 
     def test_undersized_truncation_fails_numerically(self, capsys):
         code, _, err = run(capsys, "quantum-check", "--j", "30", "--dimension", "12")

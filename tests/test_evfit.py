@@ -9,6 +9,8 @@ from scipy import stats
 from gup.evfit import (
     DegenerateDataError,
     MeasurementSeries,
+    _scan_derivative,
+    _stationary_brackets,
     confidence_interval,
     odr_fit,
     wls_fit,
@@ -198,6 +200,98 @@ class TestOdr:
         s = MeasurementSeries(x=[1.0, 1.0, 1.0], y=[1.0, 2.0, 3.0], sigma_x=0.1, sigma_y=0.1)
         with pytest.raises(DegenerateDataError):
             odr_fit(s)
+
+
+def loop_brackets(series: MeasurementSeries, b0: float):
+    """The bracket scan as one pointwise h'(b) evaluation per grid slope.
+
+    Returns (grid, h' values, brackets).  h' is summed per slope exactly
+    as the pointwise profile derivative does it, so this is the scan the
+    moment evaluation has to reproduce sign for sign.
+    """
+    x, y, sx2, sy2 = series.x, series.y, series.sigma_x**2, series.sigma_y**2
+    spread = np.ptp(y) / np.ptp(x)
+    scale = max(abs(b0), spread, 1e-30)
+    grid = np.unique(np.concatenate([
+        b0 + scale * np.linspace(-40.0, 40.0, 481),
+        b0 + scale * np.array([-4e3, -4e2, 4e2, 4e3]),
+    ]))
+    values = []
+    for b in grid:
+        w = 1.0 / (sy2 + b * b * sx2)
+        a = np.sum(w * (y - b * x)) / np.sum(w)
+        r = y - a - b * x
+        wp = -2.0 * b * sx2 * w * w
+        values.append(float(np.sum(wp * r * r - 2.0 * w * r * x)))
+    values = np.array(values)
+    signs = np.sign(values)
+    brackets = []
+    for i in range(len(grid) - 1):
+        if signs[i] == 0.0:
+            brackets.append((grid[i], grid[i]))
+        elif signs[i] * signs[i + 1] < 0.0:
+            brackets.append((grid[i], grid[i + 1]))
+    return grid, values, brackets
+
+
+def heteroscedastic_series(seed: int) -> MeasurementSeries:
+    rng = np.random.default_rng([20261018, seed])
+    n = int(rng.integers(3, 12))
+    return MeasurementSeries(
+        x=rng.normal(size=n), y=rng.normal(size=n),
+        sigma_x=10.0 ** rng.uniform(-2.0, 1.0, n),
+        sigma_y=10.0 ** rng.uniform(-2.0, 1.0, n),
+    )
+
+
+def timing_shaped_series(rows: int, per_row_sigmas: bool) -> MeasurementSeries:
+    """Period (s) against amplitude squared (m^2) like the benchmark's fit data."""
+    rng = np.random.default_rng([20261018, rows])
+    x_true = rng.uniform(0.01, 0.23, rows)
+    spread = rng.uniform(0.5, 2.0, (2, rows)) if per_row_sigmas else np.ones((2, rows))
+    sx, sy = 5e-3 * spread[0], 1e-4 * spread[1]
+    return MeasurementSeries(
+        x=x_true + sx * rng.standard_normal(rows),
+        y=3.47305 + 2.10e-2 * x_true + sy * rng.standard_normal(rows),
+        sigma_x=sx, sigma_y=sy,
+    )
+
+
+class TestBracketScan:
+    @staticmethod
+    def check_against_loop(series: MeasurementSeries) -> None:
+        start = wls_fit(series)
+        grid, values, brackets = loop_brackets(series, start.slope)
+        assert _stationary_brackets(series, start.intercept, start.slope) == brackets
+        scan = _scan_derivative(series, grid, start.intercept, start.slope)
+        assert np.max(np.abs(scan - values)) <= 1e-8 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_heteroscedastic_sets_match_loop(self, seed):
+        self.check_against_loop(heteroscedastic_series(seed))
+
+    @pytest.mark.parametrize("rows", [18, 2000, 20000])
+    @pytest.mark.parametrize("per_row_sigmas", [False, True])
+    def test_timing_shaped_series_match_loop(self, rows, per_row_sigmas):
+        self.check_against_loop(timing_shaped_series(rows, per_row_sigmas))
+
+    def test_bundled_dataset_matches_loop(self, timing_series):
+        self.check_against_loop(timing_series)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a close pair of stationary points between two grid slopes is "
+        "stepped over; the fit lands in a local minimum",
+    )
+    def test_finds_global_minimum_with_per_row_sigmas(self):
+        # chi^2 is 0.15735 at slope -0.6147; the scan returns 0.43017 at 0.4643
+        s = MeasurementSeries(
+            x=[0.5823905409008899, 2.2503006789362723, 0.4951043650764877],
+            y=[1.2368065561840522, -1.1413533414277894, -0.6540483449670293],
+            sigma_x=[9.86411102197559, 0.1372019942232869, 0.24371586005768534],
+            sigma_y=[0.17116340046946105, 2.517451855849723, 0.06845547487960302],
+        )
+        assert odr_fit(s).chi2 <= 0.15736
 
 
 class TestConfidenceInterval:
