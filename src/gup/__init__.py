@@ -34,7 +34,6 @@ from .dynamics import (
     DeformationParams,
     PendulumConfig,
     TrajectorySample,
-    harmonic_frequency_shift,
     integrate_oscillator_trajectory,
     integrate_trajectory,
     momentum_remap,
@@ -54,12 +53,9 @@ from .oscillator import (
     GKState,
     OscillatorModel,
     build_truncated_operators,
-    eigenfunction,
-    energy_eigenvalue,
     evolve_gk,
     expectation_xp_closed_form,
     gazeau_klauder_state,
-    gegenbauer,
     trajectory_x_closed_form,
 )
 

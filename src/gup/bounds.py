@@ -98,7 +98,6 @@ class ExclusionBoundary:
     """
 
     points: tuple[tuple[float, float], ...]
-    excluded_side: str = "below"
 
 
 def derived_length(t0: float, gravity: float, t0_sigma: float = 0.0):

@@ -118,6 +118,10 @@ def load_config(path: "str | None") -> dict:
                     raise ConfigError(
                         "config: key 'fit.confidence_level' must be below 1"
                     )
+                # JSON NaN and Infinity load as floats; an int is finite, and
+                # math.isfinite would overflow on one past the float range
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"config: key {dotted!r} must be finite")
             elif dotted == "grid.points":
                 if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                     raise ConfigError(
@@ -144,18 +148,10 @@ _SIGMA_COLUMNS = ("sigma_amp_sq_cm2", "sigma_period_s")
 
 @dataclass(frozen=True)
 class Dataset:
-    """Parsed dataset plus the raw cm^2-unit values for round-tripping."""
+    """Parsed dataset: its path and the series in SI units."""
 
     path: str
     series: evfit.MeasurementSeries
-    raw_rows: tuple[tuple[float, ...], ...]
-    header: tuple[str, ...]
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.raw_rows:
-            lines.append(",".join(f"{v:.12g}" for v in row))
-        return "\n".join(lines) + "\n"
 
 
 def bundled_dataset_path() -> str:
@@ -212,7 +208,7 @@ def load_dataset(path: str, sigma_x_m2: float, sigma_y_s: float) -> Dataset:
         series = evfit.MeasurementSeries(x, y, sx, sy)
     except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from None
-    return Dataset(path=path, series=series, raw_rows=tuple(raw), header=header)
+    return Dataset(path=path, series=series)
 
 
 # --- fit -------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate
 
-from .constants import PLANCK_MASS, SPEED_OF_LIGHT
+from .constants import PLANCK_MOMENTUM_SQ
 
 __all__ = [
     "DeformationParams",
@@ -49,9 +49,7 @@ __all__ = [
     "period_beta_linearized",
     "integrate_trajectory",
     "trajectory_period",
-    "turning_point_energies",
     "integrate_oscillator_trajectory",
-    "harmonic_frequency_shift",
 ]
 
 
@@ -80,8 +78,6 @@ class DeformationParams:
     beta0: float
     alpha: float = 0.0
     n_particles: float = 1.0
-    planck_mass: float = PLANCK_MASS
-    light_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
         if not (self.beta0 >= 0.0 and math.isfinite(self.beta0)):
@@ -90,14 +86,12 @@ class DeformationParams:
             raise ValueError("alpha must be finite")
         if not (self.n_particles >= 1.0 and math.isfinite(self.n_particles)):
             raise ValueError("n_particles must be finite and at least 1")
-        if self.planck_mass <= 0.0 or self.light_speed <= 0.0:
-            raise ValueError("planck_mass and light_speed must be positive")
 
     @property
     def effective_beta(self) -> float:
         """Deformation in SI units, beta0 / (N^alpha (M_p c)^2)."""
         scale = self.n_particles ** self.alpha
-        beta = self.beta0 / (scale * (self.planck_mass * self.light_speed) ** 2)
+        beta = self.beta0 / (scale * PLANCK_MOMENTUM_SQ)
         if not math.isfinite(beta):
             raise ValueError(
                 f"effective beta overflows for n_particles={self.n_particles!r}, "
@@ -441,30 +435,6 @@ def trajectory_period(
     return float(np.mean(crossings[2:] - crossings[:-2]))
 
 
-def turning_point_energies(
-    pend: PendulumConfig,
-    deformation: "float | DeformationParams",
-    angular_amplitude: float,
-    rel_tol: float = 1e-10,
-) -> list[tuple[float, float]]:
-    """(time, energy) at each detected turning point over a few periods.
-
-    At a turning point the remapped momentum vanishes and the deformed
-    energy is purely potential, -m g L cos(theta).  Comparing against
-    -m g L cos(phi) measures the integrator's energy drift.
-    """
-    beta = _as_beta(deformation)
-    phi = _check_angular_amplitude(angular_amplitude)
-    rel_tol = _check_rel_tol(rel_tol)
-    period = period_exact_quadrature(pend, beta, phi)
-    sol = _solve_swing(pend, beta, phi, 2.3 * period, rel_tol)
-    scale = pend.mass * pend.gravity * pend.length
-    return [
-        (float(t), -scale * math.sqrt(1.0 - (state[0] / pend.length) ** 2))
-        for t, state in zip(sol.t_events[1], sol.y_events[1])
-    ]
-
-
 def integrate_oscillator_trajectory(
     mass: float,
     omega: float,
@@ -509,22 +479,3 @@ def integrate_oscillator_trajectory(
     if sol.status != 0:
         raise TrajectoryError(f"oscillator integration failed: {sol.message}")
     return sol.y[0].copy()
-
-
-def harmonic_frequency_shift(
-    mass: float,
-    omega: float,
-    amplitude: float,
-    deformation: "float | DeformationParams",
-) -> float:
-    """Deformation-induced frequency shift of a harmonic oscillator.
-
-        delta omega = beta m^2 omega^3 A^2 / 2
-
-    The same combination beta m^2 g L phi^2 / 2 controls the pendulum
-    period shift, with omega^2 = g/L and A = phi L.
-    """
-    beta = _as_beta(deformation)
-    if not (mass > 0.0 and omega > 0.0 and amplitude > 0.0):
-        raise ValueError("mass, omega and amplitude must be positive")
-    return 0.5 * beta * mass**2 * omega**3 * amplitude**2

@@ -7,11 +7,9 @@ spectrum but the ladder algebra picks up a quadratic piece,
 
 so a^dag a has eigenvalues e_n = n (1 + nu + nu n) instead of n.  This
 module builds truncated Fock-space matrices for a, x, p and the ladder
-Hamiltonian, the momentum-space eigenfunctions (Gegenbauer polynomials
-under the deformed integration measure dp / (1 + beta p^2)), and the
-generalized coherent states |J, gamma> adapted to the nonlinear
-spectrum, together with the first-order closed forms for <x> and <p>
-used to cross-check the classical treatment.
+Hamiltonian and the generalized coherent states |J, gamma> adapted to
+the nonlinear spectrum, together with the first-order closed forms for
+<x> and <p> used to cross-check the classical treatment.
 
 Everything is first order in beta except where matrices are multiplied
 out, so residuals of exact identities scale as beta^2.
@@ -21,23 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .constants import REDUCED_PLANCK
-from .dynamics import DeformationParams, PendulumConfig, _as_beta
 
 __all__ = [
     "OscillatorModel",
     "TruncatedOperators",
     "GKState",
     "TruncationError",
-    "number_operator_eigenvalue",
-    "energy_eigenvalue",
-    "gegenbauer",
-    "eigenfunction",
     "build_truncated_operators",
     "choose_dimension",
     "gazeau_klauder_state",
@@ -45,7 +36,6 @@ __all__ = [
     "matrix_expectation",
     "expectation_xp_closed_form",
     "trajectory_x_closed_form",
-    "oscillator_from_pendulum",
 ]
 
 _GK_TAIL_TOLERANCE = 1e-12
@@ -86,109 +76,12 @@ class OscillatorModel:
         """nu = beta m hbar omega / 2, the ladder-algebra deformation."""
         return 0.5 * self.beta * self.mass * self.hbar * self.omega
 
-    @property
-    def gegenbauer_order(self) -> float:
-        """Order of the momentum-space eigenfunction polynomials.
-
-        1/2 + sqrt(1/4 + 1/(m hbar omega beta)^2); exceeds 1 whenever
-        beta > 0 and diverges in the undeformed limit.
-        """
-        if self.beta == 0.0:
-            raise ValueError("gegenbauer order is undefined at beta = 0")
-        inv = 1.0 / (self.mass * self.hbar * self.omega * self.beta)
-        return 0.5 + math.sqrt(0.25 + inv * inv)
-
-
-def number_operator_eigenvalue(n: int, model: OscillatorModel) -> float:
-    """Eigenvalue e_n = n (1 + nu + nu n) of a^dag a."""
-    if n < 0:
-        raise ValueError("level index must be non-negative")
-    nu = model.ladder_deformation
-    return n * (1.0 + nu + nu * n)
-
 
 def _level_eigenvalues(model: OscillatorModel, count: int) -> np.ndarray:
-    """e_n for n < count, elementwise as in number_operator_eigenvalue."""
+    """Eigenvalues e_n = n (1 + nu + nu n) of a^dag a for n < count."""
     n = np.arange(count, dtype=float)
     nu = model.ladder_deformation
     return n * (1.0 + nu + nu * n)
-
-
-def energy_eigenvalue(n: int, model: OscillatorModel) -> float:
-    """Energy of level n, first order in the deformation.
-
-        E_n = hbar omega [(n + 1/2)(sqrt(1 + nu^2) + nu) + n^2 nu]
-
-    Reduces to hbar omega (n + 1/2) at beta = 0; the n^2 term makes the
-    spectrum superlinear for beta > 0.
-    """
-    if n < 0:
-        raise ValueError("level index must be non-negative")
-    nu = model.ladder_deformation
-    base = (n + 0.5) * (math.sqrt(1.0 + nu * nu) + nu)
-    return model.hbar * model.omega * (base + n * n * nu)
-
-
-def gegenbauer(n: int, order: float, s):
-    """Gegenbauer polynomial C_n^order(s) by the three-term recurrence.
-
-        k C_k = 2 (k + order - 1) s C_{k-1} - (k + 2 order - 2) C_{k-2}
-
-    Accepts scalar or array s; exact for the base cases C_0 = 1 and
-    C_1 = 2 order s.
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if not order > 0.0:
-        raise ValueError("order must be positive")
-    s = np.asarray(s, dtype=float)
-    prev = np.ones_like(s)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 2.0 * order * s
-    for k in range(2, n + 1):
-        cur, prev = (
-            (2.0 * (k + order - 1.0) * s * cur - (k + 2.0 * order - 2.0) * prev) / k,
-            cur,
-        )
-    return cur if cur.ndim else float(cur)
-
-
-def eigenfunction(n: int, model: OscillatorModel, p):
-    """Momentum-space energy eigenfunction psi_n(p).
-
-    psi_n(p) = (-i)^n z_n (1 - s^2)^(order/2) C_n^order(s) with
-    s = sqrt(beta) p / sqrt(1 + beta p^2) and z_n chosen so the family
-    is orthonormal under the deformed measure dp / (1 + beta p^2).  The
-    (-i)^n phase makes the beta -> 0 limit match the usual oscillator
-    conventions.
-    """
-    if n < 0:
-        raise ValueError("level index must be non-negative")
-    beta = model.beta
-    if beta <= 0.0:
-        raise ValueError("momentum-space eigenfunctions need beta > 0")
-    lam = model.gegenbauer_order
-    p = np.asarray(p, dtype=float)
-    stretch = 1.0 + beta * p * p
-    s = np.sqrt(beta) * p / np.sqrt(stretch)
-    log_norm = (
-        lam * math.log(2.0)
-        + gammaln(lam)
-        + 0.5
-        * (
-            gammaln(n + 1.0)
-            + math.log(n + lam)
-            + 0.5 * math.log(beta)
-            - math.log(2.0 * math.pi)
-            - gammaln(n + 2.0 * lam)
-        )
-    )
-    phase = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)[n % 4]
-    # (1 - s^2) = 1/(1 + beta p^2), computed directly to avoid cancellation
-    envelope = np.exp(log_norm - 0.5 * lam * np.log(stretch))
-    value = phase * envelope * gegenbauer(n, lam, s)
-    return value if np.ndim(value) else complex(value)
 
 
 @dataclass(frozen=True)
@@ -257,14 +150,15 @@ def _gk_log_terms(model: OscillatorModel, J: float, count: int) -> np.ndarray:
     """log(J^n / rho_n) for n < count, with rho_n = prod_{k<=n} e_k."""
     if count < 1:
         raise ValueError("count must be positive")
-    log_terms = np.empty(count)
-    log_terms[0] = 0.0
-    acc = 0.0
     log_j = math.log(J) if J > 0.0 else -math.inf
-    for n in range(1, count):
-        acc += log_j - math.log(number_operator_eigenvalue(n, model))
-        log_terms[n] = acc
-    return log_terms
+    # math.log per level: np.log can differ from it in the last bit
+    steps = [log_j - math.log(v) for v in _level_eigenvalues(model, count)[1:]]
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def _check_j(J: float) -> None:
+    if not (J >= 0.0 and math.isfinite(J)):
+        raise ValueError("J must be finite and non-negative")
 
 
 def _gk_support(model: OscillatorModel, J: float) -> np.ndarray:
@@ -285,8 +179,7 @@ def _gk_support(model: OscillatorModel, J: float) -> np.ndarray:
 
 def choose_dimension(model: OscillatorModel, J: float) -> int:
     """Smallest truncation with tail mass below 1e-12 plus buffer levels."""
-    if J < 0.0:
-        raise ValueError("J must be non-negative")
+    _check_j(J)
     log_terms = _gk_support(model, J)
     weights = np.exp(log_terms - np.max(log_terms))
     total = np.sum(weights)
@@ -333,8 +226,7 @@ def gazeau_klauder_state(
     requested dimension leaves more than 1e-12 of the weight within
     the buffer levels or beyond.
     """
-    if J < 0.0:
-        raise ValueError("J must be non-negative")
+    _check_j(J)
     if dimension is None:
         dimension = choose_dimension(model, J)
     if dimension < 8:
@@ -394,8 +286,7 @@ def expectation_xp_closed_form(
     gamma come from expanding exp(-i gamma e_n) to first order in the
     deformation, so gamma here plays the role of omega t.
     """
-    if J < 0.0:
-        raise ValueError("J must be non-negative")
+    _check_j(J)
     m, w, hbar, beta = model.mass, model.omega, model.hbar, model.beta
     root_j = math.sqrt(J)
     j32 = J * root_j
@@ -438,21 +329,3 @@ def trajectory_x_closed_form(model: OscillatorModel, amplitude: float, t):
         0.5 * m**2 * w**2 * amplitude**3
     ) * np.sin(wt) * (np.cos(wt) * np.sin(wt) - wt * secular)
     return value if value.ndim else float(value)
-
-
-def oscillator_from_pendulum(
-    pend: PendulumConfig,
-    deformation: "float | DeformationParams",
-    hbar: float = REDUCED_PLANCK,
-) -> OscillatorModel:
-    """Small-amplitude oscillator equivalent of a pendulum.
-
-    Maps (L, g) to omega = sqrt(g/L) with the same mass; displacement
-    amplitude A corresponds to swing angle A/L.
-    """
-    return OscillatorModel(
-        mass=pend.mass,
-        omega=math.sqrt(pend.gravity / pend.length),
-        hbar=hbar,
-        beta=_as_beta(deformation),
-    )

@@ -128,6 +128,22 @@ def dense_truncated_operators(model, dimension: int):
     return a, x, p, h
 
 
+def gk_log_terms_loop(model, J: float, count: int) -> np.ndarray:
+    """log(J^n / rho_n), rho_n = prod_{1<=k<=n} e_k, one level at a time.
+
+    The sequential scalar loop, with e_n = n (1 + nu + nu n) written out
+    and each log taken by math.log; independent of gup.oscillator.
+    """
+    nu = 0.5 * model.beta * model.mass * model.hbar * model.omega
+    log_j = math.log(J) if J > 0.0 else -math.inf
+    log_terms = np.zeros(count)
+    acc = 0.0
+    for n in range(1, count):
+        acc += log_j - math.log(n * (1.0 + nu + nu * n))
+        log_terms[n] = acc
+    return log_terms
+
+
 def york_line_fit(x, y, sigma_x, sigma_y):
     """Straight-line fit with errors on both axes, York et al. 2004.
 

@@ -130,7 +130,6 @@ class TestExclusionBoundary:
         boundary = exclusion_boundary(0.011, 7.32e26)
         alphas = [alpha for _, alpha in boundary.points]
         assert all(b >= a for a, b in zip(alphas, alphas[1:]))
-        assert boundary.excluded_side == "below"
 
     def test_slope_in_decade_coordinates(self):
         # d alpha / d log10 beta0 = 1 / log10 N
@@ -213,6 +212,11 @@ class TestLevitation:
     def test_requires_resolution_source(self):
         with pytest.raises(ValueError):
             levitation_ratio_bound(10.0, 36.8, 0.1)
+
+    @pytest.mark.parametrize("args", [(0.0, 36.8, 0.1), (10.0, 0.0, 0.1), (10.0, 36.8, -0.1)])
+    def test_rejects_non_positive_arguments(self, args):
+        with pytest.raises(ValueError, match="must be positive"):
+            levitation_ratio_bound(*args, damping=1e-7)
 
 
 class TestRegistry:

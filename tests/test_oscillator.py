@@ -1,4 +1,4 @@
-"""Deformed oscillator: spectrum, operators, coherent states, eigenfunctions."""
+"""Deformed oscillator: spectrum, operators, coherent states, closed forms."""
 
 from __future__ import annotations
 
@@ -6,28 +6,23 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import eval_gegenbauer, gammaln
+from scipy.special import gammaln
 
-from gup.dynamics import DeformationParams, PendulumConfig
+from gup import oscillator
 from gup.oscillator import (
     GKState,
     OscillatorModel,
     TruncationError,
     build_truncated_operators,
     choose_dimension,
-    eigenfunction,
-    energy_eigenvalue,
     evolve_gk,
     expectation_xp_closed_form,
     gazeau_klauder_state,
-    gegenbauer,
     matrix_expectation,
-    number_operator_eigenvalue,
-    oscillator_from_pendulum,
     trajectory_x_closed_form,
 )
 
-from conftest import dense_truncated_operators
+from conftest import dense_truncated_operators, gk_log_terms_loop
 
 
 def model_units(beta=0.0, hbar=1.0):
@@ -38,18 +33,6 @@ class TestModel:
     def test_ladder_deformation(self):
         m = OscillatorModel(mass=2.0, omega=3.0, hbar=0.5, beta=1e-3)
         assert m.ladder_deformation == pytest.approx(0.5 * 1e-3 * 2.0 * 0.5 * 3.0, rel=1e-15)
-
-    def test_gegenbauer_order_exceeds_one(self):
-        m = model_units(beta=0.1)
-        assert m.gegenbauer_order > 1.0
-
-    def test_gegenbauer_order_diverges_small_beta(self):
-        weak = model_units(beta=1e-8)
-        assert weak.gegenbauer_order == pytest.approx(1e8, rel=1e-6)
-
-    def test_gegenbauer_order_undefined_undeformed(self):
-        with pytest.raises(ValueError):
-            model_units(beta=0.0).gegenbauer_order
 
     @pytest.mark.parametrize("kwargs", [
         {"mass": 0.0, "omega": 1.0},
@@ -66,73 +49,32 @@ class TestSpectrum:
     def test_number_eigenvalues(self):
         m = model_units(beta=2e-3)
         nu = m.ladder_deformation
+        e = oscillator._level_eigenvalues(m, 6)
         for n in range(6):
-            assert number_operator_eigenvalue(n, m) == pytest.approx(
-                n * (1.0 + nu + nu * n), rel=1e-15
-            )
+            assert e[n] == pytest.approx(n * (1.0 + nu + nu * n), rel=1e-15)
 
     def test_harmonic_limit(self):
-        m = model_units(beta=0.0)
-        for n in range(5):
-            assert energy_eigenvalue(n, m) == pytest.approx(n + 0.5, rel=1e-15)
+        # the ladder Hamiltonian hbar omega a^dag a has levels n hbar omega
+        h = build_truncated_operators(model_units(beta=0.0), 8).h
+        np.testing.assert_array_equal(np.diag(h).real, np.arange(8.0))
 
     def test_superlinear_spacing_when_deformed(self):
-        m = model_units(beta=1e-2)
-        gaps = [energy_eigenvalue(n + 1, m) - energy_eigenvalue(n, m) for n in range(8)]
+        gaps = np.diff(np.diag(build_truncated_operators(model_units(beta=1e-2), 9).h).real)
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
-    def test_rejects_negative_level(self):
-        with pytest.raises(ValueError):
-            number_operator_eigenvalue(-1, model_units())
-        with pytest.raises(ValueError):
-            energy_eigenvalue(-1, model_units())
-
-
-class TestGegenbauer:
-    def test_base_cases(self):
-        assert gegenbauer(0, 1.5, 0.3) == 1.0
-        assert gegenbauer(1, 1.5, 0.3) == pytest.approx(2.0 * 1.5 * 0.3, rel=1e-15)
-
-    def test_degree_two_closed_form(self):
-        lam, s = 2.25, -0.4
-        expected = 2.0 * lam * (lam + 1.0) * s * s - lam
-        assert gegenbauer(2, lam, s) == pytest.approx(expected, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13])
-    @pytest.mark.parametrize("lam", [0.7, 1.5, 4.25])
-    def test_matches_scipy(self, n, lam):
-        s = np.linspace(-0.95, 0.95, 9)
-        np.testing.assert_allclose(
-            gegenbauer(n, lam, s), eval_gegenbauer(n, lam, s), rtol=1e-10, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 7])
-    def test_derivative_identity(self, n):
-        # d/ds C_n^lam = 2 lam C_{n-1}^{lam+1}
-        lam, s = 1.8, np.linspace(-0.9, 0.9, 7)
-        h = 1e-6
-        numeric = (gegenbauer(n, lam, s + h) - gegenbauer(n, lam, s - h)) / (2.0 * h)
-        np.testing.assert_allclose(
-            numeric, 2.0 * lam * gegenbauer(n - 1, lam + 1.0, s), rtol=1e-8, atol=1e-8
-        )
-
-    def test_parity(self):
-        s = 0.37
-        for n in range(6):
-            assert gegenbauer(n, 2.0, -s) == pytest.approx(
-                (-1.0) ** n * gegenbauer(n, 2.0, s), rel=1e-13
-            )
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            gegenbauer(-1, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            gegenbauer(2, 0.0, 0.0)
-
-
-@pytest.fixture(scope="module")
-def deformed():
-    return OscillatorModel(mass=1.0, omega=1.0, hbar=1.0, beta=0.05)
+    def test_log_terms_match_level_loop(self):
+        # the cumulative sum must reproduce the sequential per-level loop
+        # bit for bit, over the (beta, J) range the CLI reaches
+        rng = np.random.default_rng(20261018)
+        for count in (64, 1024, 8192):
+            for _ in range(20):
+                beta = 10.0 ** rng.uniform(-9.0, -1.0)
+                J = 10.0 ** rng.uniform(-1.0, 3.0)
+                model = model_units(beta=beta)
+                assert np.array_equal(
+                    oscillator._gk_log_terms(model, J, count),
+                    gk_log_terms_loop(model, J, count),
+                ), (beta, J, count)
 
 
 @pytest.fixture(scope="module")
@@ -145,57 +87,16 @@ def gk_model():
     return model_units(beta=2e-4)
 
 
-class TestEigenfunctions:
-    def test_orthonormal_under_deformed_measure(self, deformed):
-        # Gauss-Legendre in s maps the measure dp/(1+beta p^2) onto the
-        # classical Gegenbauer weight (1-s^2)^(order-1/2)
-        beta = deformed.beta
-        nodes, weights = np.polynomial.legendre.leggauss(160)
-        p = nodes / (math.sqrt(beta) * np.sqrt(1.0 - nodes * nodes))
-        jac = 1.0 / (math.sqrt(beta) * np.sqrt(1.0 - nodes * nodes))
-        for m in range(4):
-            for n in range(4):
-                f = np.conj(eigenfunction(m, deformed, p)) * eigenfunction(n, deformed, p)
-                overlap = np.sum(weights * jac * f)
-                assert overlap == pytest.approx(1.0 if m == n else 0.0, abs=1e-9)
-
-    def test_alternating_phase(self, deformed):
-        p = 0.4
-        values = [eigenfunction(n, deformed, p) for n in range(4)]
-        assert values[0].imag == 0.0 and values[0].real > 0.0
-        assert values[1].real == 0.0
-        assert values[2].imag == 0.0
-        assert values[3].real == 0.0
-
-    def test_momentum_parity(self, deformed):
-        p = np.array([0.3, 1.7])
-        for n in range(5):
-            np.testing.assert_allclose(
-                eigenfunction(n, deformed, -p),
-                (-1.0) ** n * eigenfunction(n, deformed, p),
-                rtol=1e-13,
-            )
-
-    def test_ground_state_peak_at_origin(self, deformed):
-        p = np.linspace(-6.0, 6.0, 101)
-        psi0 = np.abs(eigenfunction(0, deformed, p))
-        assert np.argmax(psi0) == 50
-
-    def test_requires_deformation(self):
-        with pytest.raises(ValueError):
-            eigenfunction(0, model_units(beta=0.0), 0.1)
-
-
 class TestTruncatedOperators:
     def test_minimum_dimension_enforced(self):
         with pytest.raises(ValueError):
             build_truncated_operators(model_units(), 7)
 
     def test_lowering_structure(self, ops):
-        m = ops.model
+        nu = ops.model.ladder_deformation
         for n in range(1, 8):
             assert ops.a[n - 1, n] == pytest.approx(
-                math.sqrt(number_operator_eigenvalue(n, m)), rel=1e-15
+                math.sqrt(n * (1.0 + nu + nu * n)), rel=1e-15
             )
         assert np.count_nonzero(np.tril(ops.a)) == 0
 
@@ -205,15 +106,18 @@ class TestTruncatedOperators:
 
     def test_number_operator_diagonal_excludes_top(self, ops):
         # the top level of a^dag a lacks its a a^dag partner; interior only
-        m = ops.model
+        nu = ops.model.ladder_deformation
         num = (ops.a.conj().T @ ops.a).real
-        expected = [number_operator_eigenvalue(n, m) for n in range(ops.dimension - 1)]
+        n = np.arange(ops.dimension - 1)
+        expected = n * (1.0 + nu + nu * n)
         np.testing.assert_allclose(np.diag(num)[:-1], expected, rtol=1e-12)
 
     def test_hamiltonian_diagonal(self, ops):
         m = ops.model
+        nu = m.ladder_deformation
         diag = np.diag(ops.h).real
-        expected = [m.hbar * m.omega * number_operator_eigenvalue(n, m) for n in range(ops.dimension)]
+        n = np.arange(ops.dimension)
+        expected = m.hbar * m.omega * n * (1.0 + nu + nu * n)
         np.testing.assert_allclose(diag, expected, rtol=1e-13)
         assert np.count_nonzero(ops.h - np.diag(np.diag(ops.h))) == 0
 
@@ -324,6 +228,15 @@ class TestGKStates:
         with pytest.raises(ValueError):
             gazeau_klauder_state(gk_model, J=-1.0, gamma=0.0)
 
+    @pytest.mark.parametrize("J", [math.nan, math.inf])
+    def test_rejects_non_finite_action(self, gk_model, J):
+        with pytest.raises(ValueError, match="finite"):
+            choose_dimension(gk_model, J)
+        with pytest.raises(ValueError, match="finite"):
+            gazeau_klauder_state(gk_model, J, 0.0, dimension=40)
+        with pytest.raises(ValueError, match="finite"):
+            expectation_xp_closed_form(gk_model, J, 0.0)
+
     def test_expectation_dimension_mismatch(self, gk_model):
         state = gazeau_klauder_state(gk_model, 2.0, 0.0)
         with pytest.raises(ValueError):
@@ -381,7 +294,6 @@ class TestClosedForms:
         assert slope == pytest.approx(2.0, abs=0.2)
 
     def test_secular_term_recovers_frequency_shift(self):
-        from gup.dynamics import harmonic_frequency_shift
         from scipy.optimize import curve_fit
 
         mass, omega, amp = 1.0, 1.0, 1.0
@@ -394,24 +306,9 @@ class TestClosedForms:
             return amp * np.cos((omega + delta) * t)
 
         delta, _ = curve_fit(shifted, ts, x, p0=[0.0])
-        expected = harmonic_frequency_shift(mass, omega, amp, beta)
+        expected = 0.5 * beta * mass**2 * omega**3 * amp**2
         assert delta[0] == pytest.approx(expected, rel=0.05)
 
     def test_rejects_non_positive_amplitude(self):
         with pytest.raises(ValueError):
             trajectory_x_closed_form(model_units(beta=1e-4), 0.0, 1.0)
-
-
-class TestPendulumBridge:
-    def test_frequency_and_mass_carry_over(self):
-        pend = PendulumConfig(mass=1.22, length=2.9954, gravity=9.80393)
-        deformation = DeformationParams(beta0=2.0)
-        model = oscillator_from_pendulum(pend, deformation, hbar=1.0)
-        assert model.omega == pytest.approx(math.sqrt(pend.gravity / pend.length), rel=1e-15)
-        assert model.mass == pend.mass
-        assert model.beta == pytest.approx(deformation.effective_beta, rel=1e-15)
-
-    def test_scalar_deformation_accepted(self):
-        pend = PendulumConfig(mass=1.0, length=1.0, gravity=9.8)
-        model = oscillator_from_pendulum(pend, 1e-9, hbar=1.0)
-        assert model.beta == 1e-9
