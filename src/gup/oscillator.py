@@ -29,6 +29,7 @@ __all__ = [
     "TruncatedOperators",
     "GKState",
     "TruncationError",
+    "gegenbauer",
     "build_truncated_operators",
     "choose_dimension",
     "gazeau_klauder_state",
@@ -82,6 +83,31 @@ def _level_eigenvalues(model: OscillatorModel, count: int) -> np.ndarray:
     n = np.arange(count, dtype=float)
     nu = model.ladder_deformation
     return n * (1.0 + nu + nu * n)
+
+
+def gegenbauer(n: int, order: float, s):
+    """Gegenbauer polynomial C_n^order(s) by the three-term recurrence.
+
+        k C_k = 2 (k + order - 1) s C_{k-1} - (k + 2 order - 2) C_{k-2}
+
+    Accepts scalar or array s; exact for the base cases C_0 = 1 and
+    C_1 = 2 order s.
+    """
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    if not order > 0.0:
+        raise ValueError("order must be positive")
+    s = np.asarray(s, dtype=float)
+    prev = np.ones_like(s)
+    if n == 0:
+        return prev if prev.ndim else float(prev)
+    cur = 2.0 * order * s
+    for k in range(2, n + 1):
+        cur, prev = (
+            (2.0 * (k + order - 1.0) * s * cur - (k + 2.0 * order - 2.0) * prev) / k,
+            cur,
+        )
+    return cur if cur.ndim else float(cur)
 
 
 @dataclass(frozen=True)

@@ -309,3 +309,8 @@ class TestOscillatorTrajectory:
         k = len(sign_flips)
         measured_omega = (0.25 + (k - 1)) * 2.0 * math.pi / t_cross
         assert measured_omega - omega == pytest.approx(shift, rel=0.05)
+
+    def test_rejects_non_positive_arguments(self):
+        for mass, omega, amp in [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)]:
+            with pytest.raises(ValueError, match="must be positive"):
+                integrate_oscillator_trajectory(mass, omega, 0.0, amp, [0.0, 1.0])

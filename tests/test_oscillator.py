@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import eval_gegenbauer, gammaln
 
 from gup import oscillator
 from gup.oscillator import (
@@ -18,6 +18,7 @@ from gup.oscillator import (
     evolve_gk,
     expectation_xp_closed_form,
     gazeau_klauder_state,
+    gegenbauer,
     matrix_expectation,
     trajectory_x_closed_form,
 )
@@ -75,6 +76,48 @@ class TestSpectrum:
                     oscillator._gk_log_terms(model, J, count),
                     gk_log_terms_loop(model, J, count),
                 ), (beta, J, count)
+
+
+class TestGegenbauer:
+    def test_base_cases(self):
+        assert gegenbauer(0, 1.5, 0.3) == 1.0
+        assert gegenbauer(1, 1.5, 0.3) == pytest.approx(2.0 * 1.5 * 0.3, rel=1e-15)
+
+    def test_degree_two_closed_form(self):
+        lam, s = 2.25, -0.4
+        expected = 2.0 * lam * (lam + 1.0) * s * s - lam
+        assert gegenbauer(2, lam, s) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("lam", [0.7, 1.5, 4.25])
+    def test_matches_scipy(self, n, lam):
+        s = np.linspace(-0.95, 0.95, 9)
+        np.testing.assert_allclose(
+            gegenbauer(n, lam, s), eval_gegenbauer(n, lam, s), rtol=1e-10, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_derivative_identity(self, n):
+        # d/ds C_n^lam = 2 lam C_{n-1}^{lam+1}
+        lam, s = 1.8, np.linspace(-0.9, 0.9, 7)
+        h = 1e-6
+        numeric = (gegenbauer(n, lam, s + h) - gegenbauer(n, lam, s - h)) / (2.0 * h)
+        np.testing.assert_allclose(
+            numeric, 2.0 * lam * gegenbauer(n - 1, lam + 1.0, s), rtol=1e-8, atol=1e-8
+        )
+
+    def test_parity(self):
+        s = 0.37
+        for n in range(6):
+            assert gegenbauer(n, 2.0, -s) == pytest.approx(
+                (-1.0) ** n * gegenbauer(n, 2.0, s), rel=1e-13
+            )
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            gegenbauer(-1, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            gegenbauer(2, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
