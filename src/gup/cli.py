@@ -118,9 +118,11 @@ def load_config(path: "str | None") -> dict:
                     raise ConfigError(
                         "config: key 'fit.confidence_level' must be below 1"
                     )
-                # JSON NaN and Infinity load as floats; an int is finite, and
-                # math.isfinite would overflow on one past the float range
-                if isinstance(value, float) and not math.isfinite(value):
+                try:  # JSON allows NaN, Infinity and integers past float range
+                    finite = math.isfinite(float(value))
+                except OverflowError:
+                    finite = False
+                if not finite:
                     raise ConfigError(f"config: key {dotted!r} must be finite")
             elif dotted == "grid.points":
                 if not isinstance(value, int) or isinstance(value, bool) or value < 1:

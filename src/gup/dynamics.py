@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .constants import PLANCK_MOMENTUM_SQ
 
@@ -51,6 +50,15 @@ __all__ = [
     "trajectory_period",
     "integrate_oscillator_trajectory",
 ]
+
+
+def __getattr__(name: str):
+    # the integrators import scipy.integrate when they run; this keeps
+    # gup.dynamics.integrate naming it for callers that wrap its functions
+    if name == "integrate":
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class QuadratureError(RuntimeError):
@@ -194,6 +202,7 @@ def period_first_order(
 
 def _quad_smooth(func, lo: float, hi: float, rel_tol: float) -> float:
     """Adaptive quadrature of a smooth integrand with failure detection."""
+    from scipy import integrate
     result = integrate.quad(
         func, lo, hi, epsabs=1e-300, epsrel=rel_tol, full_output=True, limit=200
     )
@@ -354,6 +363,7 @@ def _solve_swing(
     # momentum at the bottom of the swing, m sqrt(2 g L (1 - cos(phi)))
     p_max = 2.0 * mass * math.sin(0.5 * phi) * math.sqrt(pend.gravity * length)
     ptilde_max = momentum_remap(p_max, beta)
+    from scipy import integrate
     sol = integrate.solve_ivp(
         rhs,
         (0.0, t_end),
@@ -466,6 +476,7 @@ def integrate_oscillator_trajectory(
         p, slope = _physical_momentum(pt, root)
         return (p * slope / mass, -mass * omega**2 * x)
 
+    from scipy import integrate
     sol = integrate.solve_ivp(
         rhs,
         (min(0.0, grid[0]), grid[-1]),

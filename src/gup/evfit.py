@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import stdtrit
 
 __all__ = [
     "MeasurementSeries",
@@ -326,5 +326,59 @@ def confidence_interval(
         center, se = fit.intercept, fit.intercept_se
     else:
         raise ValueError("parameter must be 'slope' or 'intercept'")
-    half = stdtrit(fit.dof, 0.5 * (1.0 + level)) * se
+    half = _t_quantile(fit.dof, 0.5 * (1.0 - level)) * se
     return (center - half, center + half)
+
+
+
+def _t_upper_tail(dof: int, t: float) -> "tuple[float, float]":
+    """P(T > t) and t times the density of T, for integer dof and t > 0.
+
+    A&S 26.7.3-4 sum the first dof // 2 terms of a series in
+    x = dof / (dof + t^2) whose total has a closed form (arctan at odd dof,
+    1 / sin at even dof); where the difference would cancel, the rest of
+    the series is summed instead.
+    """
+    x, s, odd = dof / (dof + t * t), t / math.sqrt(dof + t * t), dof % 2
+    weight = s * math.sqrt(x) / math.pi if odd else 0.5 * s
+    whole = math.atan(math.sqrt(dof) / t) / (math.pi * weight) if odd else 1.0 / s
+    head, term, k = [], 1.0, 0
+    while k < dof // 2:
+        head.append(term)
+        k += 1
+        term *= x * (2 * k - 1 + odd) / (2 * k + odd)
+    t_density, rest = weight * term * dof, whole - math.fsum(head)
+    if rest < 1e-3 * whole:
+        rest = 0.0
+        while term > 1e-17 * (1.0 - x) * rest:
+            rest += term
+            k += 1
+            term *= x * (2 * k - 1 + odd) / (2 * k + odd)
+    return weight * rest, t_density
+
+
+def _t_quantile(dof: int, p: float) -> float:
+    """The t with P(T > t) = p, for integer dof >= 1 and 0 < p < 0.5.
+
+    The A&S 26.7.5 expansion about the normal quantile, used as it stands
+    above 1000 dof; up to 1000 dof, Newton's method on log P(T > t) against
+    log t polishes it until the step falls below 1e-10 or stops shrinking.
+    """
+    z = -NormalDist().inv_cdf(p)
+    z2 = z * z
+    g = (
+        (z2 + 1.0) / 4.0,
+        ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0,
+        (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0,
+        ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0,
+    )
+    t = z * (1.0 + sum(gk / dof ** (k + 1) for k, gk in enumerate(g)))
+    step = math.inf
+    while dof <= 1000 and abs(step) > 1e-10:
+        tail, t_density = _t_upper_tail(dof, t)
+        new = math.log(tail / p) * tail / t_density
+        if not abs(new) < abs(step):  # at the rounding floor
+            break
+        t *= math.exp(new)
+        step = new
+    return t

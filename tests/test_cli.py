@@ -175,6 +175,8 @@ class TestConfig:
     @pytest.mark.parametrize("key,value", [
         ("beta0_max", math.inf),
         ("beta0_min", math.nan),
+        # JSON allows integers that float() cannot convert
+        pytest.param("beta0_max", 10**400, id="beta0_max-int-past-float-range"),
     ])
     def test_non_finite_grid_bound_exits_before_writing(
         self, capsys, in_tmp, key, value
@@ -189,6 +191,7 @@ class TestConfig:
         assert out == ""
         assert err == f"gup: error: config: key 'grid.{key}' must be finite\n"
         assert not (in_tmp / "b.csv").exists()
+        assert not (in_tmp / "b.svg").exists()
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "conf.json"
@@ -439,6 +442,34 @@ class TestImports:
             check=True,
         )
         assert result.stdout.strip() == "False"
+
+    @staticmethod
+    def _scipy_loaded_after(code, cwd):
+        """scipy modules in sys.modules after running code in a fresh interpreter."""
+        env = dict(os.environ, PYTHONPATH=str(Path(gup.__file__).parents[1]))
+        probe = code + (
+            "\nimport sys"
+            "\nprint(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, cwd=cwd, capture_output=True,
+            text=True, check=True,
+        )
+        return result.stdout.splitlines()[-1]
+
+    def test_package_import_loads_no_scipy(self, tmp_path):
+        assert self._scipy_loaded_after("import gup, gup.cli", tmp_path) == "[]"
+
+    def test_analysis_commands_load_no_scipy(self, tmp_path):
+        code = (
+            "import gup.cli\n"
+            "for argv in (['scenarios', 'list'], ['fit', '--out-json', 'fit.json'],\n"
+            "             ['exclusion', '--out-csv', 'b.csv', '--out-svg', 'b.svg']):\n"
+            "    assert gup.cli.main(argv) == 0, argv"
+        )
+        assert self._scipy_loaded_after(code, tmp_path) == "[]"
+        assert {p.name for p in tmp_path.iterdir()} == {"fit.json", "b.csv", "b.svg"}
 
     @pytest.mark.parametrize(
         "name", [m.name for m in pkgutil.iter_modules(gup.__path__)]

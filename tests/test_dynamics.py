@@ -314,3 +314,38 @@ class TestOscillatorTrajectory:
         for mass, omega, amp in [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)]:
             with pytest.raises(ValueError, match="must be positive"):
                 integrate_oscillator_trajectory(mass, omega, 0.0, amp, [0.0, 1.0])
+
+
+def _counting(counts: dict, name: str, func):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return func(*args, **kwargs)
+
+    return counted
+
+
+class TestIntegratorLookup:
+    """Solves go through gup.dynamics.integrate, so wrapping it sees them all."""
+
+    def test_names_scipy_integrate(self):
+        import scipy.integrate
+
+        assert dynamics.integrate is scipy.integrate
+
+    @pytest.mark.parametrize("call,solve_ivp,quad", [
+        (lambda pend: trajectory_period(pend, 0.0, 0.1), 1, True),
+        (lambda pend: integrate_oscillator_trajectory(
+            1.0, 1.0, 1e-3, 0.5, [0.0, 1.0, 2.0]), 1, False),
+        (lambda pend: period_exact_quadrature(pend, 0.0, 0.1), 0, True),
+    ], ids=["trajectory_period", "integrate_oscillator_trajectory",
+            "period_exact_quadrature"])
+    def test_wrapped_integrators_are_reached(
+        self, monkeypatch, experiment, call, solve_ivp, quad
+    ):
+        counts = {"solve_ivp": 0, "quad": 0}
+        for name in counts:
+            wrapped = _counting(counts, name, getattr(dynamics.integrate, name))
+            monkeypatch.setattr(dynamics.integrate, name, wrapped)
+        call(experiment)
+        assert counts["solve_ivp"] == solve_ivp
+        assert (counts["quad"] > 0) == quad

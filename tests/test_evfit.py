@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from gup.evfit import (
     DegenerateDataError,
     MeasurementSeries,
     _scan_derivative,
     _stationary_brackets,
+    _t_quantile,
+    _t_upper_tail,
     confidence_interval,
     odr_fit,
     wls_fit,
@@ -327,3 +331,30 @@ class TestConfidenceInterval:
             confidence_interval(fit, "slope", level=1.0)
         with pytest.raises(ValueError):
             confidence_interval(fit, "slope", level=0.0)
+
+
+class TestStudentTQuantile:
+    DOFS = [*range(1, 200), 1000, 19998, 100000]
+
+    @pytest.mark.parametrize("level", [0.5, 0.68, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999])
+    def test_matches_stdtrit(self, level):
+        q = 0.5 * (1.0 + level)
+        got = np.array([_t_quantile(dof, 1.0 - q) for dof in self.DOFS])
+        np.testing.assert_allclose(got, special.stdtrit(self.DOFS, q), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 51, 200, 999, 1000])
+    def test_far_tail_keeps_relative_accuracy(self, dof):
+        # down to 1e-210, where 1 - CDF would have cancelled to nothing
+        t = np.geomspace(4.0, 40.0, 10)
+        got = [_t_upper_tail(dof, float(x))[0] for x in t]
+        np.testing.assert_allclose(got, special.stdtr(dof, -t), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 7, 30, 199, 1000, 1001, 19998, 100000])
+    def test_extreme_levels_finite_and_increasing(self, dof):
+        # at the last level 1 + level rounds to 2: q = (1 + level) / 2 would be 1
+        levels = [1e-9, 1e-3, 0.5, 0.95, 1.0 - 1e-6, 1.0 - 1e-9]
+        levels.append(math.nextafter(1.0, 0.0))
+        t = [_t_quantile(dof, 0.5 * (1.0 - level)) for level in levels]
+        assert all(np.isfinite(t))
+        assert t[0] > 0.0
+        assert all(a < b for a, b in zip(t, t[1:]))
