@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -69,6 +69,9 @@ _DEFAULT_CONFIG = {
     },
     "scenarios": None,
 }
+
+# five times the largest exclusion grid the benchmark runs
+_MAX_GRID_POINTS = 100_001
 
 _CONFIG_NUMERIC = {
     "pendulum.mass_kg",
@@ -129,17 +132,14 @@ def load_config(path: "str | None") -> dict:
                     raise ConfigError(
                         "config: key 'grid.points' must be a positive integer"
                     )
+                if value > _MAX_GRID_POINTS:
+                    raise ConfigError(
+                        f"config: key 'grid.points' must be at most {_MAX_GRID_POINTS}"
+                    )
             merged[section][key] = value
     if merged["grid"]["beta0_min"] > merged["grid"]["beta0_max"]:
         raise ConfigError("config: 'grid.beta0_min' exceeds 'grid.beta0_max'")
     return merged
-
-
-def _pendulum_from_config(config: dict, length: float) -> dynamics.PendulumConfig:
-    p = config["pendulum"]
-    return dynamics.PendulumConfig(
-        mass=p["mass_kg"], length=length, gravity=p["gravity_m_s2"]
-    )
 
 
 # --- dataset ingestion -----------------------------------------------------
@@ -227,7 +227,7 @@ def _fit_chain(dataset: Dataset, config: dict) -> dict:
     length, length_se = bounds.derived_length(
         fit.intercept, gravity, fit.intercept_se
     )
-    pend = _pendulum_from_config(config, length)
+    pend = dynamics.PendulumConfig(mass=mass, length=length, gravity=gravity)
     ratio = bounds.ratio_bound_from_fit(fit, pend, level)
     n_particles = bounds.nucleon_count(mass)
     alpha_min = bounds.alpha_bound(ratio.upper, n_particles, 1.0)
@@ -418,112 +418,14 @@ def cmd_period(args: argparse.Namespace) -> int:
 # --- quantum check ---------------------------------------------------------
 
 
-def _check_line(name: str, passed: bool, detail: str) -> bool:
-    print(f"{'PASS' if passed else 'FAIL'}  {name:<28} {detail}")
-    return passed
-
-
-def _commutator_residual(ops: oscillator.TruncatedOperators) -> float:
-    model, dim = ops.model, ops.dimension
-    target = 1j * model.hbar * (
-        np.eye(dim, dtype=complex) + model.beta * (ops.p @ ops.p)
-    )
-    residual = ops.x @ ops.p - ops.p @ ops.x - target
-    interior = dim - 4
-    return float(np.max(np.abs(residual[: interior - 1, : interior - 1])))
-
-
 def cmd_quantum_check(args: argparse.Namespace) -> int:
     model = oscillator.OscillatorModel(
         mass=args.mass, omega=args.omega, hbar=args.hbar, beta=args.beta
     )
-    if model.beta == 0.0:
-        raise ValueError(
-            "the commutator-scaling check needs beta > 0; there is no deformation to scale"
-        )
-    half = replace(model, beta=0.5 * model.beta)
-    dim = args.dimension
-    if dim is None:
-        # the closed-form check's beta/2 state needs at least as many
-        # levels as the beta state
-        dim = oscillator.choose_dimension(half, args.j)
-    state = oscillator.gazeau_klauder_state(model, args.j, 0.0, dim)
-    ops = oscillator.build_truncated_operators(model, dim)
     ok = True
-
-    deficit = abs(1.0 - state.norm**2)
-    ok &= _check_line("norm", deficit < 1e-10, f"deficit={deficit:.3e} tol=1e-10")
-
-    t_probe = 2.345 / model.omega
-    evolved = oscillator.evolve_gk(state, model, t_probe)
-    rebuilt = oscillator.gazeau_klauder_state(
-        model, args.j, model.omega * t_probe, dim
-    )
-    drift = float(np.max(np.abs(evolved.amplitudes - rebuilt.amplitudes)))
-    ok &= _check_line(
-        "temporal stability", drift < 1e-12, f"drift={drift:.3e} tol=1e-12"
-    )
-
-    h_exp = oscillator.matrix_expectation(state, ops.h)
-    h_ref = model.hbar * model.omega * args.j
-    h_err = abs(h_exp.real - h_ref) / h_ref if h_ref else abs(h_exp.real)
-    ok &= _check_line(
-        "<h> = hbar omega J", h_err < 1e-10, f"rel_err={h_err:.3e} tol=1e-10"
-    )
-
-    scales = (1.0, 0.1, 0.01)
-    residuals = [_commutator_residual(ops)]
-    for scale in scales[1:]:
-        scaled = replace(model, beta=model.beta * scale)
-        residuals.append(
-            _commutator_residual(oscillator.build_truncated_operators(scaled, dim))
-        )
-    slope = np.polyfit(
-        np.log10([model.beta * s for s in scales]), np.log10(residuals), 1
-    )[0]
-    ok &= _check_line(
-        "commutator residual",
-        abs(slope - 2.0) < 0.1,
-        f"beta-scaling slope={slope:.3f} expected 2+-0.1",
-    )
-
-    times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
-
-    def closed_vs_matrix(op: oscillator.TruncatedOperators) -> float:
-        mod = op.model
-        st = oscillator.gazeau_klauder_state(mod, args.j, 0.0, dim)
-        worst = 0.0
-        for t in times:
-            ev = oscillator.evolve_gk(st, mod, float(t))
-            xm = oscillator.matrix_expectation(ev, op.x).real
-            xc, _ = oscillator.expectation_xp_closed_form(
-                mod, args.j, mod.omega * float(t)
-            )
-            worst = max(worst, abs(xm - xc))
-        return worst
-
-    dev_full = closed_vs_matrix(ops)
-    dev_half = closed_vs_matrix(oscillator.build_truncated_operators(half, dim))
-    ratio = dev_full / dev_half if dev_half else math.inf
-    ok &= _check_line(
-        "closed form vs matrix <x>",
-        3.5 <= ratio <= 4.5,
-        f"halving-beta ratio={ratio:.3f} expected ~4",
-    )
-
-    amplitude = math.sqrt(2.0 * model.hbar * args.j / (model.mass * model.omega))
-    classical = replace(model, hbar=model.hbar * 1e-6)
-    x_ode = dynamics.integrate_oscillator_trajectory(
-        model.mass, model.omega, model.beta, amplitude, times
-    )
-    x_closed = oscillator.trajectory_x_closed_form(classical, amplitude, times)
-    z = model.beta * model.mass**2 * model.omega**2 * amplitude**2
-    dev = float(np.max(np.abs(x_ode - x_closed)))
-    tol = max(1e-3 * amplitude * z, 1e-13 * amplitude)
-    ok &= _check_line(
-        "hbar->0 vs classical ODE", dev < tol, f"max_dev={dev:.3e} tol={tol:.3e}"
-    )
-
+    for check in oscillator.invariant_checks(model, args.j, args.dimension):
+        print(f"{'PASS' if check.passed else 'FAIL'}  {check.name:<28} {check.detail}")
+        ok &= check.passed
     if not ok:
         print("quantum checks FAILED")
         return EXIT_NUMERIC

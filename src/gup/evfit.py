@@ -164,24 +164,18 @@ def wls_fit(series: MeasurementSeries) -> LinearFit:
     return _finish(slope, intercept, cov, chi2, len(series), "wls")
 
 
-def _profile_pieces(series: MeasurementSeries, b: float):
-    """Weights, profiled intercept and residuals at fixed slope b."""
-    w = 1.0 / (series.sigma_y**2 + b * b * series.sigma_x**2)
-    sw = np.sum(w)
-    a = np.sum(w * (series.y - b * series.x)) / sw
-    r = series.y - a - b * series.x
-    return w, sw, a, r
-
-
 def _profile_derivatives(series: MeasurementSeries, b: float):
-    """h(b), h'(b) and the joint (intercept, slope) Hessian haa, hab, hbb.
+    """h(b), h'(b), the (a, b) Hessian haa, hab, hbb and the profiled a.
 
     By the envelope theorem the intercept's b-dependence drops out of
     h', but it does contribute to h''(b) = hbb - hab^2 / haa, the Schur
     complement of the (a, b) Hessian of the xi-profiled objective.
     """
     x, sx2 = series.x, series.sigma_x**2
-    w, sw, _, r = _profile_pieces(series, b)
+    w = 1.0 / (series.sigma_y**2 + b * b * sx2)
+    sw = np.sum(w)
+    a = np.sum(w * (series.y - b * x)) / sw
+    r = series.y - a - b * x
     wp = -2.0 * b * sx2 * w * w
     wpp = -2.0 * sx2 * w * w + 8.0 * b * b * sx2 * sx2 * w**3
     h = float(np.sum(w * r * r))
@@ -189,7 +183,7 @@ def _profile_derivatives(series: MeasurementSeries, b: float):
     haa = 2.0 * sw
     hab = float(np.sum(-2.0 * wp * r + 2.0 * w * x))
     hbb = float(np.sum(wpp * r * r - 4.0 * wp * r * x + 2.0 * w * x * x))
-    return h, hp, haa, hab, hbb
+    return h, hp, haa, hab, hbb, a
 
 
 # grid slopes x rows held at once by the bracket scan
@@ -269,7 +263,7 @@ def _newton_on_bracket(series: MeasurementSeries, lo: float, hi: float) -> float
     flo = _profile_derivatives(series, lo)[1]
     b = 0.5 * (lo + hi)
     for _ in range(100):
-        _, hp, haa, hab, hbb = _profile_derivatives(series, b)
+        _, hp, haa, hab, hbb, _ = _profile_derivatives(series, b)
         hpp = hbb - hab * hab / haa
         if hp == 0.0:
             return b
@@ -304,9 +298,8 @@ def odr_fit(series: MeasurementSeries) -> LinearFit:
         raise FitConvergenceError("no stationary point of the slope profile found")
     candidates = [_newton_on_bracket(series, lo, hi) for lo, hi in brackets]
     slope = min(candidates, key=lambda b: _profile_derivatives(series, b)[0])
-    w, _, intercept, r = _profile_pieces(series, slope)
-    chi2 = float(np.sum(w * r * r))
-    cov = _covariance_from_hessian(*_profile_derivatives(series, slope)[2:])
+    chi2, _, haa, hab, hbb, intercept = _profile_derivatives(series, slope)
+    cov = _covariance_from_hessian(haa, hab, hbb)
     return _finish(slope, intercept, cov, chi2, len(series), "odr")
 
 

@@ -18,10 +18,12 @@ out, so residuals of exact identities scale as beta^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import dynamics
 from .constants import REDUCED_PLANCK
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "TruncatedOperators",
     "GKState",
     "TruncationError",
+    "InvariantCheck",
     "gegenbauer",
     "build_truncated_operators",
     "choose_dimension",
@@ -37,6 +40,7 @@ __all__ = [
     "matrix_expectation",
     "expectation_xp_closed_form",
     "trajectory_x_closed_form",
+    "invariant_checks",
 ]
 
 _GK_TAIL_TOLERANCE = 1e-12
@@ -355,3 +359,112 @@ def trajectory_x_closed_form(model: OscillatorModel, amplitude: float, t):
         0.5 * m**2 * w**2 * amplitude**3
     ) * np.sin(wt) * (np.cos(wt) * np.sin(wt) - wt * secular)
     return value if value.ndim else float(value)
+
+
+@dataclass(frozen=True)
+class InvariantCheck:
+    """One check: value is compared with its tolerance, as detail states."""
+
+    name: str
+    passed: bool
+    value: float
+    detail: str
+
+
+def _commutator_residual(ops: TruncatedOperators) -> float:
+    """Largest |x p - p x - i hbar (1 + beta p^2)| below the corrupted top."""
+    model, dim = ops.model, ops.dimension
+    target = 1j * model.hbar * (
+        np.eye(dim, dtype=complex) + model.beta * (ops.p @ ops.p)
+    )
+    residual = ops.x @ ops.p - ops.p @ ops.x - target
+    interior = dim - _LEVEL_BUFFER - 1
+    return float(np.max(np.abs(residual[:interior, :interior])))
+
+
+def invariant_checks(
+    model: OscillatorModel, J: float, dimension: "int | None" = None
+) -> Iterator[InvariantCheck]:
+    """Check the matrix mechanics of |J, 0> against exact and closed forms.
+
+    Yields six records in printing order; the default dimension is sized
+    for the beta/2 state.  beta = 0 and a bad J raise ValueError before any
+    record; records yielded before a TruncationError stand.
+    """
+    if model.beta == 0.0:
+        raise ValueError(
+            "the commutator-scaling check needs beta > 0; there is no deformation to scale"
+        )
+    half = replace(model, beta=0.5 * model.beta)
+    # the beta/2 state needs at least as many levels as the beta state
+    dim = choose_dimension(half, J) if dimension is None else dimension
+    state = gazeau_klauder_state(model, J, 0.0, dim)
+    ops = build_truncated_operators(model, dim)
+
+    deficit = abs(1.0 - state.norm**2)
+    yield InvariantCheck(
+        "norm", deficit < 1e-10, deficit, f"deficit={deficit:.3e} tol=1e-10"
+    )
+
+    t_probe = 2.345 / model.omega
+    evolved = evolve_gk(state, model, t_probe)
+    rebuilt = gazeau_klauder_state(model, J, model.omega * t_probe, dim)
+    drift = float(np.max(np.abs(evolved.amplitudes - rebuilt.amplitudes)))
+    yield InvariantCheck(
+        "temporal stability", drift < 1e-12, drift, f"drift={drift:.3e} tol=1e-12"
+    )
+
+    h_exp = matrix_expectation(state, ops.h)
+    h_ref = model.hbar * model.omega * J
+    h_err = abs(h_exp.real - h_ref) / h_ref if h_ref else abs(h_exp.real)
+    yield InvariantCheck(
+        "<h> = hbar omega J", h_err < 1e-10, h_err, f"rel_err={h_err:.3e} tol=1e-10"
+    )
+
+    betas = [model.beta * s for s in (1.0, 0.1, 0.01)]
+    residuals = [_commutator_residual(ops)] + [
+        _commutator_residual(build_truncated_operators(replace(model, beta=b), dim))
+        for b in betas[1:]
+    ]
+    slope = float(np.polyfit(np.log10(betas), np.log10(residuals), 1)[0])
+    yield InvariantCheck(
+        "commutator residual",
+        abs(slope - 2.0) < 0.1,
+        slope,
+        f"beta-scaling slope={slope:.3f} expected 2+-0.1",
+    )
+
+    times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
+
+    def closed_vs_matrix(op: TruncatedOperators) -> float:
+        mod = op.model
+        st = gazeau_klauder_state(mod, J, 0.0, dim)
+        worst = 0.0
+        for t in times:
+            xm = matrix_expectation(evolve_gk(st, mod, float(t)), op.x).real
+            xc, _ = expectation_xp_closed_form(mod, J, mod.omega * float(t))
+            worst = max(worst, abs(xm - xc))
+        return worst
+
+    dev_full = closed_vs_matrix(ops)
+    dev_half = closed_vs_matrix(build_truncated_operators(half, dim))
+    ratio = dev_full / dev_half if dev_half else math.inf
+    yield InvariantCheck(
+        "closed form vs matrix <x>",
+        3.5 <= ratio <= 4.5,
+        ratio,
+        f"halving-beta ratio={ratio:.3f} expected ~4",
+    )
+
+    amplitude = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
+    classical = replace(model, hbar=model.hbar * 1e-6)
+    x_ode = dynamics.integrate_oscillator_trajectory(
+        model.mass, model.omega, model.beta, amplitude, times
+    )
+    x_closed = trajectory_x_closed_form(classical, amplitude, times)
+    z = model.beta * model.mass**2 * model.omega**2 * amplitude**2
+    dev = float(np.max(np.abs(x_ode - x_closed)))
+    tol = max(1e-3 * amplitude * z, 1e-13 * amplitude)
+    yield InvariantCheck(
+        "hbar->0 vs classical ODE", dev < tol, dev, f"max_dev={dev:.3e} tol={tol:.3e}"
+    )

@@ -193,6 +193,22 @@ class TestConfig:
         assert not (in_tmp / "b.csv").exists()
         assert not (in_tmp / "b.svg").exists()
 
+    @pytest.mark.parametrize("points", [100_002, 10**40])
+    def test_oversized_grid_refused_before_writing(self, capsys, in_tmp, points):
+        conf = in_tmp / "conf.json"
+        conf.write_text(json.dumps({"grid": {"points": 100_001}}))
+        assert cli.load_config(str(conf))["grid"]["points"] == 100_001
+        conf.write_text(json.dumps({"grid": {"points": points}}))
+        code, out, err = run(
+            capsys, "exclusion", "--config", str(conf),
+            "--out-csv", "b.csv", "--out-svg", "b.svg",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "gup: error: config: key 'grid.points' must be at most 100001\n"
+        assert not (in_tmp / "b.csv").exists()
+        assert not (in_tmp / "b.svg").exists()
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "conf.json"
         path.write_text("{oops")

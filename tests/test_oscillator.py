@@ -19,6 +19,7 @@ from gup.oscillator import (
     expectation_xp_closed_form,
     gazeau_klauder_state,
     gegenbauer,
+    invariant_checks,
     matrix_expectation,
     trajectory_x_closed_form,
 )
@@ -355,3 +356,55 @@ class TestClosedForms:
     def test_rejects_non_positive_amplitude(self):
         with pytest.raises(ValueError):
             trajectory_x_closed_form(model_units(beta=1e-4), 0.0, 1.0)
+
+
+def _ode_tolerance(model, J):
+    amplitude = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
+    z = model.beta * model.mass**2 * model.omega**2 * amplitude**2
+    return max(1e-3 * amplitude * z, 1e-13 * amplitude)
+
+
+class TestInvariantChecks:
+    # name -> (value passes its stated tolerance, format of value in detail)
+    TOLERANCES = {
+        "norm": (lambda v, model, J: v < 1e-10, ".3e"),
+        "temporal stability": (lambda v, model, J: v < 1e-12, ".3e"),
+        "<h> = hbar omega J": (lambda v, model, J: v < 1e-10, ".3e"),
+        "commutator residual": (lambda v, model, J: abs(v - 2.0) < 0.1, ".3f"),
+        "closed form vs matrix <x>": (lambda v, model, J: 3.5 <= v <= 4.5, ".3f"),
+        "hbar->0 vs classical ODE": (
+            lambda v, model, J: v < _ode_tolerance(model, J), ".3e"),
+    }
+
+    def test_defaults_pass_in_order(self):
+        checks = list(invariant_checks(model_units(beta=5e-6), 4.0))
+        assert [c.name for c in checks] == list(self.TOLERANCES)
+        assert all(c.passed is True for c in checks)
+
+    # the quantum-check defaults, and a point where the commutator-scaling
+    # check fails (z = 1e-6 at J = 16)
+    @pytest.mark.parametrize("beta,J", [(5e-6, 4.0), (1e-6 / 32.0, 16.0)])
+    def test_passed_agrees_with_value(self, beta, J):
+        model = model_units(beta=beta)
+        checks = list(invariant_checks(model, J))
+        assert len(checks) == 6
+        for check in checks:
+            within, fmt = self.TOLERANCES[check.name]
+            assert check.passed == within(check.value, model, J), check.name
+            assert f"={check.value:{fmt}} " in check.detail + " ", check.name
+        if J == 16.0:
+            assert not checks[3].passed
+
+    def test_zero_beta_refused_before_any_record(self):
+        checks = invariant_checks(model_units(beta=0.0), 4.0)
+        with pytest.raises(ValueError) as info:
+            next(checks)
+        assert str(info.value) == (
+            "the commutator-scaling check needs beta > 0; "
+            "there is no deformation to scale"
+        )
+
+    def test_undersized_dimension_raises(self):
+        checks = invariant_checks(model_units(beta=5e-6), 30.0, dimension=12)
+        with pytest.raises(TruncationError):
+            next(checks)
