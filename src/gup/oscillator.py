@@ -18,6 +18,7 @@ out, so residuals of exact identities scale as beta^2.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -50,6 +51,12 @@ _LEVEL_BUFFER = 4
 # dense complex D x D matrices cost 16 D^2 bytes each, 16 MiB at 1024
 # levels; filling their bands is O(D^2)
 _MAX_DIMENSION = 1024
+# x and p carry (hbar / (m omega))^(3/2) and (hbar m omega)^(3/2)
+_SCALE_RANGE = (sys.float_info.min ** (2.0 / 3.0), sys.float_info.max ** (2.0 / 3.0))
+# roundings on the longest path to an entry of the banded residual: 12 in
+# a band entry, 25 in a product of two, then 7 summing the products' terms
+# and 3 adding the transpose, nu Q^2 and the diagonal
+_RESIDUAL_ROUNDINGS = 35
 
 
 class TruncationError(RuntimeError):
@@ -73,6 +80,12 @@ class OscillatorModel:
     def __post_init__(self) -> None:
         if not (self.mass > 0.0 and self.omega > 0.0 and self.hbar > 0.0):
             raise ValueError("mass, omega and hbar must be positive")
+        low, high = _SCALE_RANGE
+        scales = (self.hbar * self.mass * self.omega, self.hbar / (self.mass * self.omega))
+        if not all(low < v < high for v in scales):
+            raise ValueError(
+                f"hbar m omega and hbar / (m omega) must lie in ({low:.0e}, {high:.0e})"
+            )
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise ValueError("beta must be finite and non-negative")
 
@@ -82,11 +95,27 @@ class OscillatorModel:
         return 0.5 * self.beta * self.mass * self.hbar * self.omega
 
 
-def _level_eigenvalues(model: OscillatorModel, count: int) -> np.ndarray:
-    """Eigenvalues e_n = n (1 + nu + nu n) of a^dag a for n < count."""
+def _level_eigenvalues(nu, count: int) -> np.ndarray:
+    """Eigenvalues e_n = n (1 + nu + nu n) of a^dag a for n < count, per row of nu."""
     n = np.arange(count, dtype=float)
-    nu = model.ladder_deformation
     return n * (1.0 + nu + nu * n)
+
+
+def _ladder_bands(nu, dimension: int) -> tuple:
+    """e_n and the bands of x / c1 = A + B_x and p / (i c3) = -A' + B_q.
+
+    c1 = sqrt(hbar / (2 m omega)), c3 = sqrt(hbar m omega / 2), A = a + a^dag,
+    A' = a - a^dag, and the O(nu) cubic terms B_x, B_q are symmetric and
+    antisymmetric.  Returns e_n (n < dimension), the entries s_n of a at
+    (n-1, n), then those of B_x and of B_q at (n-1, n) and (n-3, n).
+    """
+    e = _level_eigenvalues(nu, dimension)
+    s = np.sqrt(e)
+    s1 = s[..., 1:]
+    # a^dag a a puts s_n e_(n-1) at (n-1, n), a a a s_n s_(n-1) s_(n-2) at (n-3, n)
+    cubic1, cubic3 = s1 * e[..., :-1], s[..., 3:] * s[..., 2:-1] * s[..., 1:-2]
+    half = 0.5 * nu
+    return e, s1, half * cubic1, -half * cubic3, half * (cubic1 + 2.0 * s1), half * cubic3
 
 
 def gegenbauer(n: int, order: float, s):
@@ -131,6 +160,15 @@ class TruncatedOperators:
     h: np.ndarray
 
 
+def _dense(bands: dict, dimension: int) -> np.ndarray:
+    """Read-only complex matrix with the entries {k: band} at (n, n + k)."""
+    mat = np.zeros((dimension, dimension), dtype=complex)
+    for k, band in bands.items():
+        mat.reshape(-1)[max(k, -k * dimension) :: dimension + 1][: len(band)] = band
+    mat.flags.writeable = False
+    return mat
+
+
 def build_truncated_operators(
     model: OscillatorModel, dimension: int
 ) -> TruncatedOperators:
@@ -152,27 +190,16 @@ def build_truncated_operators(
             f"{dimension} Fock levels requested; dense operators are capped "
             f"at {_MAX_DIMENSION} levels"
         )
-    m, w, hbar, beta = model.mass, model.omega, model.hbar, model.beta
-    e = _level_eigenvalues(model, dimension)
-    s = np.sqrt(e)
-    # a^dag a a puts s_n e_(n-1) at (n-1, n) and a a a puts
-    # s_n s_(n-1) s_(n-2) at (n-3, n); their adjoints mirror them below
-    # the diagonal
-    cubic1 = s[1:] * e[:-1]
-    cubic3 = s[3:] * s[2:-1] * s[1:-2]
+    m, w, hbar = model.mass, model.omega, model.hbar
     c1 = math.sqrt(hbar / (2.0 * m * w))
-    c2 = 0.25 * beta * math.sqrt(hbar**3 * m * w / 2.0)
     c3 = math.sqrt(hbar * m * w / 2.0)
-    c4 = beta * (hbar * m * w) ** 1.5 / (4.0 * math.sqrt(2.0))
-    a = np.diag(s[1:], 1).astype(complex)
-    x_upper = np.diag(c1 * s[1:] + c2 * cubic1, 1) - np.diag(c2 * cubic3, 3)
-    x = (x_upper + x_upper.T).astype(complex)
-    p_upper = np.diag(c4 * (cubic1 + 2.0 * s[1:]) - c3 * s[1:], 1)
-    p_upper += np.diag(c4 * cubic3, 3)
-    p = 1j * (p_upper - p_upper.T)
-    h = np.diag((hbar * w * e).astype(complex))
-    for mat in (a, x, p, h):
-        mat.flags.writeable = False
+    e, s1, bx1, bx3, bq1, bq3 = _ladder_bands(model.ladder_deformation, dimension)
+    x1, x3 = c1 * (s1 + bx1), c1 * bx3
+    p1, p3 = 1j * c3 * (bq1 - s1), 1j * c3 * bq3
+    a = _dense({1: s1}, dimension)
+    x = _dense({1: x1, -1: x1, 3: x3, -3: x3}, dimension)
+    p = _dense({1: p1, -1: -p1, 3: p3, -3: -p3}, dimension)
+    h = _dense({0: hbar * w * e}, dimension)
     return TruncatedOperators(model=model, dimension=dimension, a=a, x=x, p=p, h=h)
 
 
@@ -182,7 +209,8 @@ def _gk_log_terms(model: OscillatorModel, J: float, count: int) -> np.ndarray:
         raise ValueError("count must be positive")
     log_j = math.log(J) if J > 0.0 else -math.inf
     # math.log per level: np.log can differ from it in the last bit
-    steps = [log_j - math.log(v) for v in _level_eigenvalues(model, count)[1:]]
+    nu = model.ladder_deformation
+    steps = [log_j - math.log(v) for v in _level_eigenvalues(nu, count)[1:]]
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
@@ -272,7 +300,7 @@ def gazeau_klauder_state(
             f"of the state's weight in or beyond the top {_LEVEL_BUFFER} levels"
         )
     count = min(dimension, len(weights))
-    e = _level_eigenvalues(model, count)
+    e = _level_eigenvalues(model.ladder_deformation, count)
     magnitudes = np.exp(0.5 * (log_terms[:count] - peak)) / math.sqrt(total)
     amplitudes = np.zeros(dimension, dtype=complex)
     amplitudes[:count] = magnitudes * np.exp(-1j * gamma * e)
@@ -288,7 +316,7 @@ def evolve_gk(state: GKState, model: OscillatorModel, t: float) -> GKState:
     shifted phase is NOT 2 pi periodic in omega t for beta > 0 because
     the e_n are not integer spaced.
     """
-    e = _level_eigenvalues(model, state.dimension)
+    e = _level_eigenvalues(model.ladder_deformation, state.dimension)
     amplitudes = state.amplitudes * np.exp(-1j * model.omega * t * e)
     amplitudes.flags.writeable = False
     return GKState(
@@ -371,15 +399,63 @@ class InvariantCheck:
     detail: str
 
 
-def _commutator_residual(ops: TruncatedOperators) -> float:
-    """Largest |x p - p x - i hbar (1 + beta p^2)| below the corrupted top."""
-    model, dim = ops.model, ops.dimension
-    target = 1j * model.hbar * (
-        np.eye(dim, dtype=complex) + model.beta * (ops.p @ ops.p)
-    )
-    residual = ops.x @ ops.p - ops.p @ ops.x - target
-    interior = dim - _LEVEL_BUFFER - 1
-    return float(np.max(np.abs(residual[:interior, :interior])))
+def _band_products(*pairs: tuple) -> dict:
+    """Sum of products of band matrices {k: v}, v[:, i] the entry (i, i + k), |k| <= 3."""
+    out = {}
+    for left, right in pairs:
+        for l, v in right.items():
+            pad = np.zeros((len(v), 3))
+            padded = np.concatenate((pad, v, pad), axis=1)
+            for k, u in left.items():
+                out[k + l] = out.get(k + l, 0.0) + u * padded[:, 3 + k : 3 + k + v.shape[1]]
+    return out
+
+
+def _commutator_residuals(model: OscillatorModel, dimension: int) -> tuple:
+    """Largest |x p - p x - i hbar (1 + beta p^2)| below the corrupted top.
+
+    At beta, beta / 10 and beta / 100, with bounds on their rounding
+    errors.  In the units of _ladder_bands, c1 c3 = hbar / 2,
+    beta p^2 = -nu Q^2 for Q = p / (i c3), and [A, -A'] / 2 = [a, a^dag] =
+    1 + 2 nu (N + 1) exactly, so the residual is hbar |r| with
+
+        r = 2 nu (N + 1) + (P + P^T) / 2 + nu Q^2,   P = A B_q + B_x Q,
+
+    as [S, T] = S T + (S T)^T for symmetric S and antisymmetric T.  The
+    O(1) part cancels on paper, not in float64.  r is symmetric and lives
+    on bands 0, +-2, +-4, +-6; the rounding bound is _RESIDUAL_ROUNDINGS
+    roundoffs times the same sum over the magnitudes of its O(nu) terms.
+    """
+    nu = model.ladder_deformation * np.array([[1.0], [0.1], [0.01]])
+    _, s1, bx1, bx3, bq1, bq3 = _ladder_bands(nu, dimension)
+    interior = dimension - _LEVEL_BUFFER - 1
+
+    def banded(b1, b3, sign):  # M = sign M^T from its entries at (n-1, n), (n-3, n)
+        out = {}
+        for k, b in ((1, b1), (3, b3)):
+            pad = np.zeros((3, k))
+            out[k], out[-k] = np.concatenate((b, pad), 1), sign * np.concatenate((pad, b), 1)
+        return out
+
+    def largest(a, b_x, b_q, q):
+        p, qq = _band_products((a, b_q), (b_x, q)), _band_products((q, q))
+        worst = 0.0
+        for k in (0, 2, 4, 6):
+            rows = max(0, interior - k)
+            r = 0.5 * (p[k][:, :rows] + p[-k][:, k : k + rows]) + nu * qq[k][:, :rows]
+            if k == 0:
+                r += 2.0 * nu * np.arange(1.0, rows + 1.0)
+            worst = np.maximum(worst, np.abs(r).max(axis=1, initial=0.0))
+        return model.hbar * worst
+
+    a = banded(s1, np.zeros_like(bq3), 1.0)
+    residuals = largest(a, banded(bx1, bx3, 1.0), banded(bq1, bq3, -1.0),
+                        banded(bq1 - s1, bq3, -1.0))
+    # bx1, bq1 and bq3 are positive and bx3 negative: the terms' magnitudes
+    scale = largest(a, banded(bx1, -bx3, 1.0), banded(bq1, bq3, 1.0),
+                    banded(s1 + bq1, bq3, 1.0))
+    roundoff = _RESIDUAL_ROUNDINGS * 2.0**-53
+    return residuals, roundoff / (1.0 - roundoff) * scale
 
 
 def invariant_checks(
@@ -388,18 +464,28 @@ def invariant_checks(
     """Check the matrix mechanics of |J, 0> against exact and closed forms.
 
     Yields six records in printing order; the default dimension is sized
-    for the beta/2 state.  beta = 0 and a bad J raise ValueError before any
-    record; records yielded before a TruncationError stand.
+    for the beta/2 state.  beta = 0, a bad J, J = 0 and a beta below the
+    float64 resolution of the commutator-scaling check raise ValueError
+    before any record; records yielded before a TruncationError stand.
     """
     if model.beta == 0.0:
         raise ValueError(
             "the commutator-scaling check needs beta > 0; there is no deformation to scale"
         )
+    if J == 0.0:
+        raise ValueError("the invariant checks need J > 0; J = 0 has no trajectory")
     half = replace(model, beta=0.5 * model.beta)
     # the beta/2 state needs at least as many levels as the beta state
     dim = choose_dimension(half, J) if dimension is None else dimension
     state = gazeau_klauder_state(model, J, 0.0, dim)
     ops = build_truncated_operators(model, dim)
+    residuals, roundoff = _commutator_residuals(model, dim)
+    # past 1 - 10^-0.1 of a residual, rounding could move the slope by 0.1
+    if np.any(roundoff >= (1.0 - 10.0**-0.1) * residuals):
+        raise ValueError(
+            f"beta = {model.beta:g} (nu = {model.ladder_deformation:.3g}) is below the "
+            f"float64 resolution of the commutator-scaling check at J = {J:g}"
+        )
 
     deficit = abs(1.0 - state.norm**2)
     yield InvariantCheck(
@@ -422,10 +508,6 @@ def invariant_checks(
     )
 
     betas = [model.beta * s for s in (1.0, 0.1, 0.01)]
-    residuals = [_commutator_residual(ops)] + [
-        _commutator_residual(build_truncated_operators(replace(model, beta=b), dim))
-        for b in betas[1:]
-    ]
     slope = float(np.polyfit(np.log10(betas), np.log10(residuals), 1)[0])
     yield InvariantCheck(
         "commutator residual",

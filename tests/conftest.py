@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import decimal
 import math
 import sys
 import time
@@ -126,6 +127,84 @@ def dense_truncated_operators(model, dimension: int):
     )
     h = np.diag(hbar * w * np.concatenate([[0.0], e]))
     return a, x, p, h
+
+
+def dense_commutator_residual(model, dimension: int) -> tuple[float, float]:
+    """Largest |x p - p x - i hbar (1 + beta p^2)| below the top 5 levels.
+
+    Formed from the dense matrices of dense_truncated_operators.  Returns
+    the residual and a bound on its rounding error: 64 units of roundoff
+    (about 20 roundings in an operator entry, 41 in a product of two and
+    a few more in the sums) times the same expression on absolute values.
+    The O(1) parts of x p and p x cancel here, so float64 resolves the
+    residual only where that bound is small beside it.
+    """
+    _, x, p, _ = dense_truncated_operators(model, dimension)
+    eye = np.eye(dimension)
+    residual = x @ p - p @ x - 1j * model.hbar * (eye + model.beta * (p @ p))
+    ax, ap = np.abs(x), np.abs(p)
+    scale = ax @ ap + ap @ ax + model.hbar * (eye + model.beta * (ap @ ap))
+    inner = slice(0, dimension - 5)
+    roundoff = 64 * 2.0**-53
+    return (
+        float(np.max(np.abs(residual[inner, inner]))),
+        roundoff * float(np.max(scale[inner, inner])),
+    )
+
+
+def decimal_commutator_residual(
+    mass: float, omega: float, hbar: float, beta: float, dimension: int
+) -> decimal.Decimal:
+    """The residual of dense_commutator_residual in 50-digit decimals.
+
+    x and p hold the ladder bands of dense_truncated_operators, with
+    p = i P for a real antisymmetric P, so the residual is
+    |[x, P] - hbar (1 - beta P^2)|.  Only the entries of the 13 bands
+    the product can reach are summed, one scalar at a time: stdlib
+    decimal only, no numpy and nothing from gup.
+    """
+    with decimal.localcontext(decimal.Context(prec=50)):
+        D = decimal.Decimal
+        m, w, h, b = D(mass), D(omega), D(hbar), D(beta)
+        nu = b * m * h * w / 2
+        e = [n * (1 + nu + nu * n) for n in range(dimension)]
+        s = [v.sqrt() for v in e]
+        c1 = (h / (2 * m * w)).sqrt()
+        c2 = b / 4 * (h**3 * m * w / 2).sqrt()
+        c3 = (h * m * w / 2).sqrt()
+        c4 = b * (h * m * w) ** D("1.5") / (4 * D(2).sqrt())
+        x = [dict() for _ in range(dimension)]
+        P = [dict() for _ in range(dimension)]
+        for n in range(1, dimension):
+            # a^dag a a at (n-1, n); a a a at (n-3, n)
+            cubic1 = s[n] * e[n - 1]
+            x[n - 1][n] = x[n][n - 1] = c1 * s[n] + c2 * cubic1
+            P[n - 1][n] = c4 * (cubic1 + 2 * s[n]) - c3 * s[n]
+            P[n][n - 1] = -P[n - 1][n]
+            if n >= 3:
+                cubic3 = s[n] * s[n - 1] * s[n - 2]
+                x[n - 3][n] = x[n][n - 3] = -c2 * cubic3
+                P[n - 3][n] = c4 * cubic3
+                P[n][n - 3] = -P[n - 3][n]
+
+        def product(left, right, i):
+            row = {}
+            for k, u in left[i].items():
+                for j, v in right[k].items():
+                    row[j] = row.get(j, 0) + u * v
+            return row
+
+        interior = dimension - 5
+        worst = D(0)
+        for i in range(interior):
+            xp, px, pp = product(x, P, i), product(P, x, i), product(P, P, i)
+            for j in set(xp) | set(px) | set(pp):
+                if j < interior:
+                    value = xp.get(j, 0) - px.get(j, 0) + h * b * pp.get(j, 0)
+                    if j == i:
+                        value -= h
+                    worst = max(worst, abs(value))
+        return worst
 
 
 def gk_log_terms_loop(model, J: float, count: int) -> np.ndarray:

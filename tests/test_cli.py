@@ -382,7 +382,7 @@ class TestQuantumCheck:
         monkeypatch.setattr(oscillator, "build_truncated_operators", counting)
         code, _, _ = run(capsys, "quantum-check")
         assert code == 0
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_zero_beta_refused_before_any_check(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -394,6 +394,33 @@ class TestQuantumCheck:
             "gup: error: the commutator-scaling check needs beta > 0; "
             "there is no deformation to scale\n"
         )
+        assert caught == []
+
+    def test_zero_action_refused_before_any_check(self, capsys):
+        code, out, err = run(capsys, "quantum-check", "--j", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "gup: error: the invariant checks need J > 0; J = 0 has no trajectory\n"
+
+    def test_beta_below_resolution_refused_before_any_check(self, capsys):
+        code, out, _ = run(capsys, "quantum-check", "--beta", "2e-11", "--j", "4")
+        assert "PASS  commutator residual" in out
+        code, out, err = run(capsys, "quantum-check", "--beta", "2e-12", "--j", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gup: error: beta = 2e-12 (nu = 1e-12) is below")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("option,value", [
+        ("--mass", "inf"), ("--omega", "inf"), ("--hbar", "inf"), ("--mass", "1e300"),
+    ])
+    def test_unrepresentable_model_scale_refused(self, capsys, option, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "quantum-check", option, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gup: error: ") and err.count("\n") == 1
         assert caught == []
 
     @pytest.mark.parametrize("j", ["nan", "inf"])

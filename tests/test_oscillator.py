@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from gup.oscillator import (
     trajectory_x_closed_form,
 )
 
-from conftest import dense_truncated_operators, gk_log_terms_loop
+from conftest import (
+    decimal_commutator_residual,
+    dense_commutator_residual,
+    dense_truncated_operators,
+    gk_log_terms_loop,
+)
 
 
 def model_units(beta=0.0, hbar=1.0):
@@ -41,6 +47,11 @@ class TestModel:
         {"mass": 1.0, "omega": -1.0},
         {"mass": 1.0, "omega": 1.0, "hbar": 0.0},
         {"mass": 1.0, "omega": 1.0, "beta": -1e-9},
+        {"mass": math.inf, "omega": 1.0},
+        {"mass": 1.0, "omega": 1.0, "hbar": math.inf},
+        # hbar m omega and hbar / (m omega) overflow their 3/2 powers
+        {"mass": 1e300, "omega": 1.0},
+        {"mass": 1e-300, "omega": 1.0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -51,7 +62,7 @@ class TestSpectrum:
     def test_number_eigenvalues(self):
         m = model_units(beta=2e-3)
         nu = m.ladder_deformation
-        e = oscillator._level_eigenvalues(m, 6)
+        e = oscillator._level_eigenvalues(nu, 6)
         for n in range(6):
             assert e[n] == pytest.approx(n * (1.0 + nu + nu * n), rel=1e-15)
 
@@ -206,6 +217,45 @@ class TestTruncatedOperators:
     def test_matrices_frozen(self, ops):
         with pytest.raises(ValueError):
             ops.x[0, 0] = 1.0
+
+
+class TestCommutatorResidual:
+    # dense products resolve the residual to 1e-6 only where their own
+    # rounding bound allows; elsewhere the banded one must lie within it
+    @pytest.mark.parametrize("beta", [1e-6, 1e-5, 2e-4, 5e-3])
+    @pytest.mark.parametrize("dimension", [8, 48, 60, 435, 1024])
+    def test_matches_dense_products(self, dimension, beta):
+        model = model_units(beta=beta)
+        dense, roundoff = dense_commutator_residual(model, dimension)
+        banded = oscillator._commutator_residuals(model, dimension)[0][0]
+        assert abs(banded - dense) <= max(1e-6 * dense, roundoff)
+
+    def test_scaled_betas_and_units(self):
+        model = OscillatorModel(mass=2.0, omega=3.0, hbar=0.5, beta=2e-3)
+        residuals, _ = oscillator._commutator_residuals(model, 60)
+        for scale, banded in zip((1.0, 0.1, 0.01), residuals):
+            scaled = replace(model, beta=scale * model.beta)
+            dense, roundoff = dense_commutator_residual(scaled, 60)
+            assert abs(banded - dense) <= max(1e-6 * dense, roundoff)
+
+    # the two points where the dense residual gave slopes 0.844 and 1.892
+    @pytest.mark.parametrize("J,z", [(16.0, 1e-6), (400.0, 1.2e-4)])
+    def test_slope_matches_decimal_oracle(self, J, z):
+        model = model_units(beta=z / (2.0 * J))
+        dim = choose_dimension(replace(model, beta=0.5 * model.beta), J)
+        residuals, roundoff = oscillator._commutator_residuals(model, dim)
+        exact = [
+            decimal_commutator_residual(1.0, 1.0, 1.0, model.beta * s, dim)
+            for s in (1.0, 0.1, 0.01)
+        ]
+        for value, bound, reference in zip(residuals, roundoff, exact):
+            assert abs(value - float(reference)) <= bound
+            assert value == pytest.approx(float(reference), rel=1e-6)
+        # least-squares slope through three points a decade apart
+        expected = float((exact[0].log10() - exact[2].log10()) / 2)
+        check = next(c for c in invariant_checks(model, J) if c.name == "commutator residual")
+        assert check.value == pytest.approx(expected, abs=1e-6)
+        assert check.passed
 
 
 class TestGKStates:
@@ -381,8 +431,8 @@ class TestInvariantChecks:
         assert [c.name for c in checks] == list(self.TOLERANCES)
         assert all(c.passed is True for c in checks)
 
-    # the quantum-check defaults, and a point where the commutator-scaling
-    # check fails (z = 1e-6 at J = 16)
+    # the quantum-check defaults, and a point where the dense products
+    # failed the commutator-scaling check (z = 1e-6 at J = 16)
     @pytest.mark.parametrize("beta,J", [(5e-6, 4.0), (1e-6 / 32.0, 16.0)])
     def test_passed_agrees_with_value(self, beta, J):
         model = model_units(beta=beta)
@@ -392,8 +442,7 @@ class TestInvariantChecks:
             within, fmt = self.TOLERANCES[check.name]
             assert check.passed == within(check.value, model, J), check.name
             assert f"={check.value:{fmt}} " in check.detail + " ", check.name
-        if J == 16.0:
-            assert not checks[3].passed
+        assert checks[3].passed
 
     def test_zero_beta_refused_before_any_record(self):
         checks = invariant_checks(model_units(beta=0.0), 4.0)
@@ -403,6 +452,21 @@ class TestInvariantChecks:
             "the commutator-scaling check needs beta > 0; "
             "there is no deformation to scale"
         )
+
+    def test_zero_action_refused_before_any_record(self):
+        checks = invariant_checks(model_units(beta=5e-6), 0.0)
+        with pytest.raises(ValueError, match="J > 0"):
+            next(checks)
+
+    def test_resolution_floor(self):
+        # either side of the float64 floor of the commutator-scaling check
+        # at J = 4, where the smallest residual's rounding bound reaches
+        # 1 - 10^-0.1 of it
+        above = list(invariant_checks(model_units(beta=2e-11), 4.0))
+        assert above[3].name == "commutator residual" and above[3].passed
+        below = invariant_checks(model_units(beta=2e-12), 4.0)
+        with pytest.raises(ValueError, match="below the float64 resolution"):
+            next(below)
 
     def test_undersized_dimension_raises(self):
         checks = invariant_checks(model_units(beta=5e-6), 30.0, dimension=12)
