@@ -9,10 +9,11 @@ so a^dag a has eigenvalues e_n = n (1 + nu + nu n) instead of n.  This
 module builds truncated Fock-space matrices for a, x, p and the ladder
 Hamiltonian and the generalized coherent states |J, gamma> adapted to
 the nonlinear spectrum, together with the first-order closed forms for
-<x> and <p> used to cross-check the classical treatment.
+<x> and <p> used to cross-check the classical treatment.  The invariant
+checks read the operators' bands directly and form no matrix.
 
-Everything is first order in beta except where matrices are multiplied
-out, so residuals of exact identities scale as beta^2.
+x and p are first order in beta, so products of them, and hence the
+residuals of exact identities, carry beta^2 terms.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ _GK_TAIL_TOLERANCE = 1e-12
 # x and p couple |n> to |n +- 3>, so the top of a truncated block is
 # corrupted; keep this many buffer levels beyond the state's support.
 _LEVEL_BUFFER = 4
-# dense complex D x D matrices cost 16 D^2 bytes each, 16 MiB at 1024
-# levels; filling their bands is O(D^2)
+# the banded paths are checked against dense products up to 1024 levels,
+# where a dense complex matrix takes 16 MiB
 _MAX_DIMENSION = 1024
 # x and p carry (hbar / (m omega))^(3/2) and (hbar m omega)^(3/2)
 _SCALE_RANGE = (sys.float_info.min ** (2.0 / 3.0), sys.float_info.max ** (2.0 / 3.0))
@@ -116,6 +117,19 @@ def _ladder_bands(nu, dimension: int) -> tuple:
     cubic1, cubic3 = s1 * e[..., :-1], s[..., 3:] * s[..., 2:-1] * s[..., 1:-2]
     half = 0.5 * nu
     return e, s1, half * cubic1, -half * cubic3, half * (cubic1 + 2.0 * s1), half * cubic3
+
+
+def _operator_bands(model: OscillatorModel, dimension: int) -> tuple:
+    """e_n, the entries of a, x and p / i at (n-1, n), then of x and p / i at (n-3, n)."""
+    if dimension > _MAX_DIMENSION:
+        raise TruncationError(
+            f"{dimension} Fock levels requested; dense operators are capped "
+            f"at {_MAX_DIMENSION} levels"
+        )
+    c1 = math.sqrt(model.hbar / (2.0 * model.mass * model.omega))
+    c3 = math.sqrt(model.hbar * model.mass * model.omega / 2.0)
+    e, s1, bx1, bx3, bq1, bq3 = _ladder_bands(model.ladder_deformation, dimension)
+    return e, s1, c1 * (s1 + bx1), c1 * bx3, c3 * (bq1 - s1), c3 * bq3
 
 
 def gegenbauer(n: int, order: float, s):
@@ -185,21 +199,12 @@ def build_truncated_operators(
     """
     if dimension < 8:
         raise ValueError("need at least 8 levels for the cubic ladder terms")
-    if dimension > _MAX_DIMENSION:
-        raise TruncationError(
-            f"{dimension} Fock levels requested; dense operators are capped "
-            f"at {_MAX_DIMENSION} levels"
-        )
-    m, w, hbar = model.mass, model.omega, model.hbar
-    c1 = math.sqrt(hbar / (2.0 * m * w))
-    c3 = math.sqrt(hbar * m * w / 2.0)
-    e, s1, bx1, bx3, bq1, bq3 = _ladder_bands(model.ladder_deformation, dimension)
-    x1, x3 = c1 * (s1 + bx1), c1 * bx3
-    p1, p3 = 1j * c3 * (bq1 - s1), 1j * c3 * bq3
+    e, s1, x1, x3, p1, p3 = _operator_bands(model, dimension)
+    p1, p3 = 1j * p1, 1j * p3
     a = _dense({1: s1}, dimension)
     x = _dense({1: x1, -1: x1, 3: x3, -3: x3}, dimension)
     p = _dense({1: p1, -1: -p1, 3: p3, -3: -p3}, dimension)
-    h = _dense({0: hbar * w * e}, dimension)
+    h = _dense({0: model.hbar * model.omega * e}, dimension)
     return TruncatedOperators(model=model, dimension=dimension, a=a, x=x, p=p, h=h)
 
 
@@ -227,8 +232,9 @@ def _gk_support(model: OscillatorModel, J: float) -> np.ndarray:
     while True:
         log_terms = _gk_log_terms(model, J, count)
         peak = np.max(log_terms)
-        # converged once the last term is negligible and decreasing
-        if log_terms[-1] < peak - 60.0 and log_terms[-1] < log_terms[-2]:
+        # converged once the last term is negligible and not increasing
+        # (-inf twice where the eigenvalues overflow)
+        if log_terms[-1] < peak - 60.0 and log_terms[-1] <= log_terms[-2]:
             return log_terms
         if count > 200_000:
             raise TruncationError("generalized coherent state does not converge")
@@ -458,15 +464,30 @@ def _commutator_residuals(model: OscillatorModel, dimension: int) -> tuple:
     return residuals, roundoff / (1.0 - roundoff) * scale
 
 
+def _band_expectations(model: OscillatorModel, amplitudes: np.ndarray, times) -> tuple:
+    """<h> of the state with these amplitudes, and <x> after each of the times.
+
+    x is real symmetric on bands +-1 and +-3, so <x> is the sum over k = 1, 3
+    of 2 Re sum_n conj(v_n) x_(n,n+k) v_(n+k), with v evolved to every time at once.
+    """
+    e, _, x1, x3, _, _ = _operator_bands(model, amplitudes.size)
+    h = np.vdot(amplitudes, model.hbar * model.omega * e * amplitudes).real
+    v = amplitudes * np.exp(-1j * (model.omega * times)[:, None] * e)
+    x = sum(((v[:, :-k].conj() * v[:, k:]).real * b).sum(axis=1) for k, b in ((1, x1), (3, x3)))
+    return float(h), 2.0 * x
+
+
 def invariant_checks(
     model: OscillatorModel, J: float, dimension: "int | None" = None
 ) -> Iterator[InvariantCheck]:
     """Check the matrix mechanics of |J, 0> against exact and closed forms.
 
     Yields six records in printing order; the default dimension is sized
-    for the beta/2 state.  beta = 0, a bad J, J = 0 and a beta below the
-    float64 resolution of the commutator-scaling check raise ValueError
-    before any record; records yielded before a TruncationError stand.
+    for the beta/2 state.  beta = 0, a bad J, J = 0, a beta that overflows
+    the operator bands and one below the float64 resolution of the
+    commutator-scaling check raise ValueError before any record, and more
+    than 1024 levels raise TruncationError there; records yielded before
+    a later TruncationError stand.  No matrix is formed.
     """
     if model.beta == 0.0:
         raise ValueError(
@@ -475,15 +496,25 @@ def invariant_checks(
     if J == 0.0:
         raise ValueError("the invariant checks need J > 0; J = 0 has no trajectory")
     half = replace(model, beta=0.5 * model.beta)
-    # the beta/2 state needs at least as many levels as the beta state
-    dim = choose_dimension(half, J) if dimension is None else dimension
+    # built here so that its scale check refuses before any record
+    classical = replace(model, hbar=model.hbar * 1e-6)
+    nu = model.ladder_deformation
+    # overflowed levels are refused below, by name, instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the beta/2 state needs at least as many levels as the beta state
+        dim = choose_dimension(half, J) if dimension is None else dimension
+        bands = _operator_bands(model, dim)
+        residuals, roundoff = _commutator_residuals(model, dim)
+    if not all(np.isfinite(b).all() for b in (*bands, residuals, roundoff)):
+        raise ValueError(
+            f"beta = {model.beta:g} (nu = {nu:.3g}) overflows float64 in the operator "
+            f"bands or their products at {dim} Fock levels"
+        )
     state = gazeau_klauder_state(model, J, 0.0, dim)
-    ops = build_truncated_operators(model, dim)
-    residuals, roundoff = _commutator_residuals(model, dim)
     # past 1 - 10^-0.1 of a residual, rounding could move the slope by 0.1
     if np.any(roundoff >= (1.0 - 10.0**-0.1) * residuals):
         raise ValueError(
-            f"beta = {model.beta:g} (nu = {model.ladder_deformation:.3g}) is below the "
+            f"beta = {model.beta:g} (nu = {nu:.3g}) is below the "
             f"float64 resolution of the commutator-scaling check at J = {J:g}"
         )
 
@@ -500,9 +531,10 @@ def invariant_checks(
         "temporal stability", drift < 1e-12, drift, f"drift={drift:.3e} tol=1e-12"
     )
 
-    h_exp = matrix_expectation(state, ops.h)
+    times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
+    h_exp, x_full = _band_expectations(model, state.amplitudes, times)
     h_ref = model.hbar * model.omega * J
-    h_err = abs(h_exp.real - h_ref) / h_ref if h_ref else abs(h_exp.real)
+    h_err = abs(h_exp - h_ref) / h_ref if h_ref else abs(h_exp)
     yield InvariantCheck(
         "<h> = hbar omega J", h_err < 1e-10, h_err, f"rel_err={h_err:.3e} tol=1e-10"
     )
@@ -516,20 +548,12 @@ def invariant_checks(
         f"beta-scaling slope={slope:.3f} expected 2+-0.1",
     )
 
-    times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
-
-    def closed_vs_matrix(op: TruncatedOperators) -> float:
-        mod = op.model
-        st = gazeau_klauder_state(mod, J, 0.0, dim)
-        worst = 0.0
-        for t in times:
-            xm = matrix_expectation(evolve_gk(st, mod, float(t)), op.x).real
-            xc, _ = expectation_xp_closed_form(mod, J, mod.omega * float(t))
-            worst = max(worst, abs(xm - xc))
-        return worst
-
-    dev_full = closed_vs_matrix(ops)
-    dev_half = closed_vs_matrix(build_truncated_operators(half, dim))
+    # the closed form of <x> at this J: release from rest at this amplitude
+    amplitude = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
+    dev_full = float(np.max(np.abs(x_full - trajectory_x_closed_form(model, amplitude, times))))
+    v_half = gazeau_klauder_state(half, J, 0.0, dim).amplitudes
+    x_half = _band_expectations(half, v_half, times)[1]
+    dev_half = float(np.max(np.abs(x_half - trajectory_x_closed_form(half, amplitude, times))))
     ratio = dev_full / dev_half if dev_half else math.inf
     yield InvariantCheck(
         "closed form vs matrix <x>",
@@ -538,8 +562,6 @@ def invariant_checks(
         f"halving-beta ratio={ratio:.3f} expected ~4",
     )
 
-    amplitude = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
-    classical = replace(model, hbar=model.hbar * 1e-6)
     x_ode = dynamics.integrate_oscillator_trajectory(
         model.mass, model.omega, model.beta, amplitude, times
     )

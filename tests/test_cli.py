@@ -371,18 +371,19 @@ class TestQuantumCheck:
         assert code == 0
         assert "all quantum checks passed" in out
 
-    def test_builds_each_operator_set_once(self, capsys, monkeypatch):
+    def test_forms_no_dense_operator(self, capsys, monkeypatch):
         calls = []
-        build = oscillator.build_truncated_operators
+        for name in ("build_truncated_operators", "matrix_expectation"):
+            original = getattr(oscillator, name)
 
-        def counting(model, dimension):
-            calls.append(model)
-            return build(model, dimension)
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(oscillator, "build_truncated_operators", counting)
+            monkeypatch.setattr(oscillator, name, counting)
         code, _, _ = run(capsys, "quantum-check")
         assert code == 0
-        assert len(calls) == 2
+        assert calls == []
 
     def test_zero_beta_refused_before_any_check(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -411,6 +412,23 @@ class TestQuantumCheck:
         assert err.startswith("gup: error: beta = 2e-12 (nu = 1e-12) is below")
         assert err.count("\n") == 1
 
+    # nu = beta / 2 here: the cubic band terms overflow (1e300, 1e150), their
+    # products in the residual (1e60), or the eigenvalues choose_dimension
+    # reads (1e307)
+    @pytest.mark.parametrize("argv", [
+        ("--beta", "1e300"), ("--beta", "1e150", "--j", "4"), ("--beta", "1e60"),
+        ("--beta", "1e307"),
+    ])
+    def test_overflowing_beta_refused_before_any_check(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "quantum-check", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"gup: error: beta = {float(argv[1]):g} ")
+        assert "overflows float64" in err and err.count("\n") == 1
+        assert caught == []
+
     @pytest.mark.parametrize("option,value", [
         ("--mass", "inf"), ("--omega", "inf"), ("--hbar", "inf"), ("--mass", "1e300"),
     ])
@@ -422,6 +440,15 @@ class TestQuantumCheck:
         assert out == ""
         assert err.startswith("gup: error: ") and err.count("\n") == 1
         assert caught == []
+
+    def test_classical_model_scale_refused_before_any_check(self, capsys):
+        # hbar m omega = 1e-200 is representable, 1e-6 of it for the
+        # hbar->0 check is not
+        argv = ("--hbar", "1e-150", "--mass", "1e-50", "--beta", "2e194")
+        code, out, err = run(capsys, "quantum-check", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gup: error: hbar m omega") and err.count("\n") == 1
 
     @pytest.mark.parametrize("j", ["nan", "inf"])
     def test_non_finite_action_refused(self, capsys, j):

@@ -408,6 +408,28 @@ class TestClosedForms:
             trajectory_x_closed_form(model_units(beta=1e-4), 0.0, 1.0)
 
 
+class TestBandExpectations:
+    # a random state weights the top levels, where the bands are largest
+    @pytest.mark.parametrize("mass,omega,hbar,beta,dimension", [
+        *((1.0, 1.0, 1.0, beta, d) for beta in (0.0, 1e-6, 2e-4, 5e-3)
+          for d in (8, 48, 435, 1024)),
+        (2.0, 3.0, 0.5, 2e-3, 435),
+    ])
+    def test_match_dense_products(self, mass, omega, hbar, beta, dimension, rng):
+        model = OscillatorModel(mass=mass, omega=omega, hbar=hbar, beta=beta)
+        _, x, _, h = dense_truncated_operators(model, dimension)
+        v = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
+        v /= np.linalg.norm(v)
+        times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
+        n = np.arange(dimension, dtype=float)
+        nu = 0.5 * model.beta * model.mass * model.hbar * model.omega
+        evolved = v * np.exp(-1j * np.outer(model.omega * times, n * (1.0 + nu + nu * n)))
+        x_dense = np.array([np.vdot(u, x @ u).real for u in evolved])
+        h_banded, x_banded = oscillator._band_expectations(model, v, times)
+        assert np.max(np.abs(x_banded - x_dense)) <= 1e-12 * np.max(np.abs(x))
+        assert abs(h_banded - np.vdot(v, h @ v).real) <= 1e-12 * np.max(np.abs(h))
+
+
 def _ode_tolerance(model, J):
     amplitude = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
     z = model.beta * model.mass**2 * model.omega**2 * amplitude**2
@@ -430,6 +452,7 @@ class TestInvariantChecks:
         checks = list(invariant_checks(model_units(beta=5e-6), 4.0))
         assert [c.name for c in checks] == list(self.TOLERANCES)
         assert all(c.passed is True for c in checks)
+        assert all(type(c.value) is float for c in checks)
 
     # the quantum-check defaults, and a point where the dense products
     # failed the commutator-scaling check (z = 1e-6 at J = 16)
@@ -439,6 +462,7 @@ class TestInvariantChecks:
         checks = list(invariant_checks(model, J))
         assert len(checks) == 6
         for check in checks:
+            assert type(check.passed) is bool and type(check.value) is float
             within, fmt = self.TOLERANCES[check.name]
             assert check.passed == within(check.value, model, J), check.name
             assert f"={check.value:{fmt}} " in check.detail + " ", check.name
@@ -467,6 +491,12 @@ class TestInvariantChecks:
         below = invariant_checks(model_units(beta=2e-12), 4.0)
         with pytest.raises(ValueError, match="below the float64 resolution"):
             next(below)
+
+    def test_oversized_dimension_refused_before_any_record(self):
+        # J = 1e4 at the defaults needs 10,586 levels
+        checks = invariant_checks(model_units(beta=5e-6), 1e4)
+        with pytest.raises(TruncationError, match="10586 Fock levels"):
+            next(checks)
 
     def test_undersized_dimension_raises(self):
         checks = invariant_checks(model_units(beta=5e-6), 30.0, dimension=12)
