@@ -93,11 +93,12 @@ class ExperimentScenario:
 class ExclusionBoundary:
     """Sampled boundary curve alpha_min(beta0) for one experiment.
 
-    Parameter pairs below the curve (in alpha) are excluded: they would
-    have produced a signal above the experimental limit.
+    points is a read-only (n, 2) float64 array of (beta0, alpha_min)
+    rows.  Parameter pairs below the curve (in alpha) are excluded: they
+    would have produced a signal above the experimental limit.
     """
 
-    points: tuple[tuple[float, float], ...]
+    points: np.ndarray
 
 
 def derived_length(t0: float, gravity: float, t0_sigma: float = 0.0):
@@ -194,7 +195,9 @@ def exclusion_boundary(
     if np.any(grid <= 0.0):
         raise ValueError("beta0 must be positive")
     alphas = (np.log(grid) - math.log(upper)) / math.log(n_particles)
-    return ExclusionBoundary(points=tuple(zip(grid.tolist(), alphas.tolist())))
+    points = np.column_stack((grid, alphas))
+    points.flags.writeable = False
+    return ExclusionBoundary(points=points)
 
 
 def sphere_mass(density: float, radius: float) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import math
 import os
@@ -173,10 +174,10 @@ def load_dataset(path: str, sigma_x_m2: float, sigma_y_s: float) -> Dataset:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise DatasetError(f"{path}: {exc.strerror or exc}") from None
-    rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
+    rows = list(filter(str.strip, lines))
     if not rows:
         raise DatasetError(f"{path}: file is empty")
-    header_line = rows[0][1]
+    header_line = rows[0].strip()
     header = tuple(name.strip() for name in header_line.split(","))
     if header not in (_BASE_COLUMNS, _BASE_COLUMNS + _SIGMA_COLUMNS):
         raise DatasetError(
@@ -184,20 +185,17 @@ def load_dataset(path: str, sigma_x_m2: float, sigma_y_s: float) -> Dataset:
             f"[,{','.join(_SIGMA_COLUMNS)}], got {header_line!r}"
         )
     expected = len(header)
-    raw = []
-    for lineno, line in rows[1:]:
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != expected:
-            raise DatasetError(
-                f"{path}:{lineno}: expected {expected} fields, got {len(fields)}"
-            )
-        try:
-            raw.append(tuple(float(f) for f in fields))
-        except ValueError:
-            raise DatasetError(f"{path}:{lineno}: non-numeric field") from None
-    if not raw:
+    if len(rows) == 1:
         raise DatasetError(f"{path}: no data rows")
-    data = np.asarray(raw)
+    # all fields in one pass; float() strips what str.strip() does except
+    # U+001F, so any failure is left to the row-by-row parse to name or take
+    try:
+        if set(map(str.count, rows[1:], itertools.repeat(","))) != {expected - 1}:
+            raise ValueError("field count")
+        fields = ",".join(rows[1:]).split(",")
+        data = np.fromiter(map(float, fields), float, len(fields)).reshape(-1, expected)
+    except ValueError:
+        data = _parse_rows(path, lines, expected)
     x = data[:, 0] * 1e-4  # cm^2 -> m^2
     y = data[:, 1]
     if expected == 4:
@@ -211,6 +209,23 @@ def load_dataset(path: str, sigma_x_m2: float, sigma_y_s: float) -> Dataset:
     except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from None
     return Dataset(path=path, series=series)
+
+
+def _parse_rows(path: str, lines: list, expected: int) -> np.ndarray:
+    """The data rows below the header, one line at a time; errors name the first bad line."""
+    rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
+    raw = []
+    for lineno, line in rows[1:]:
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != expected:
+            raise DatasetError(
+                f"{path}:{lineno}: expected {expected} fields, got {len(fields)}"
+            )
+        try:
+            raw.append(tuple(float(f) for f in fields))
+        except ValueError:
+            raise DatasetError(f"{path}:{lineno}: non-numeric field") from None
+    return np.asarray(raw)
 
 
 # --- fit -------------------------------------------------------------------
@@ -295,7 +310,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # --- exclusion -------------------------------------------------------------
 
 
-def _scenario_curves(config: dict) -> list[dict]:
+def _scenario_curves(config: dict, grid: np.ndarray) -> list[dict]:
     scenarios = bounds.load_scenarios(config["scenarios"])
     fit_bound = None
     if any(s.kind == "pendulum-fit" for s in scenarios):
@@ -306,7 +321,6 @@ def _scenario_curves(config: dict) -> list[dict]:
         )
         report = _fit_chain(dataset, config)
         fit_bound = bounds.RatioBound(**report["ratio_bound"])
-    grid = bounds.beta0_log_grid(**config["grid"])
     curves = []
     for scenario in scenarios:
         if scenario.style == "none":
@@ -327,7 +341,8 @@ def _scenario_curves(config: dict) -> list[dict]:
 
 def cmd_exclusion(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    curves = _scenario_curves(config)
+    grid = bounds.beta0_log_grid(**config["grid"])
+    curves = _scenario_curves(config, grid)
     for curve in curves:
         alpha_unit = bounds.alpha_bound(curve["upper"], curve["n_particles"], 1.0)
         print(
@@ -336,20 +351,23 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
             f"alpha_min(beta0=1)={alpha_unit:+.4f}"
         )
     if args.out_csv:
-        lines = ["label,beta0,alpha_min,style"]
-        for curve in curves:
-            for beta0, alpha in curve["boundary"].points:
-                lines.append(
-                    f"{curve['label']},{beta0:.12g},{alpha:.12g},{curve['style']}"
-                )
+        # every boundary is sampled on grid: its column is formatted once
+        beta0_text = svgplot.format_rows("%.12g\n", grid.tolist()).splitlines()
         with open(args.out_csv, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write("label,beta0,alpha_min,style\n")
+            for curve in curves:
+                label = curve["label"].replace("%", "%%")
+                handle.write(svgplot.format_rows(
+                    f"{label},%s,%.12g,{curve['style']}\n",
+                    beta0_text,
+                    curve["boundary"].points[:, 1].tolist(),
+                ))
         print(f"boundary CSV written to {args.out_csv}")
     if args.out_svg:
         series = [
             svgplot.Series(
                 label=curve["label"],
-                points=list(curve["boundary"].points),
+                points=curve["boundary"].points,
                 style=curve["style"],
             )
             for curve in curves

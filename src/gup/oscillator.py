@@ -355,8 +355,9 @@ def expectation_xp_closed_form(
     root_j = math.sqrt(J)
     j32 = J * root_j
     cos_g, sin_g = math.cos(gamma), math.sin(gamma)
-    x = math.sqrt(2.0 * hbar * J / (m * w)) * cos_g + beta * math.sqrt(
-        2.0 * hbar**3 * m * w
+    # hbar sqrt(2 hbar m w), not sqrt(2 hbar^3 m w): hbar^3 underflows first
+    x = math.sqrt(2.0 * hbar * J / (m * w)) * cos_g + beta * hbar * math.sqrt(
+        2.0 * hbar * m * w
     ) * (
         0.25 * j32 * cos_g
         - 0.25 * j32 * math.cos(3.0 * gamma)
@@ -485,9 +486,10 @@ def invariant_checks(
     Yields six records in printing order; the default dimension is sized
     for the beta/2 state.  beta = 0, a bad J, J = 0, a beta that overflows
     the operator bands and one below the float64 resolution of the
-    commutator-scaling check raise ValueError before any record, and more
-    than 1024 levels raise TruncationError there; records yielded before
-    a later TruncationError stand.  No matrix is formed.
+    commutator-scaling check raise ValueError before any record; more
+    than 1024 levels raise TruncationError there, and z = beta m^2 omega^2
+    A^2 of 1 or more dynamics.TrajectoryError.  Records yielded before a
+    later TruncationError stand.  No matrix is formed.
     """
     if model.beta == 0.0:
         raise ValueError(
@@ -516,6 +518,16 @@ def invariant_checks(
         raise ValueError(
             f"beta = {model.beta:g} (nu = {nu:.3g}) is below the "
             f"float64 resolution of the commutator-scaling check at J = {J:g}"
+        )
+    # the closed forms of <x> at this J (release from rest at this amplitude)
+    # expand in z = beta p^2 at the peak momentum p = m omega A: from z = 1 on
+    # the deformation is as large as the bracket's 1, and the hbar->0 ODE slows
+    amplitude = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
+    z = model.beta * model.mass**2 * model.omega**2 * amplitude**2
+    if not z < 1.0:
+        raise dynamics.TrajectoryError(
+            f"z = beta m^2 omega^2 A^2 = {z:.3g} at J = {J:g}; the first-order closed "
+            "forms need z < 1, z being beta p^2 at the peak momentum m omega A"
         )
 
     deficit = abs(1.0 - state.norm**2)
@@ -548,8 +560,6 @@ def invariant_checks(
         f"beta-scaling slope={slope:.3f} expected 2+-0.1",
     )
 
-    # the closed form of <x> at this J: release from rest at this amplitude
-    amplitude = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
     dev_full = float(np.max(np.abs(x_full - trajectory_x_closed_form(model, amplitude, times))))
     v_half = gazeau_klauder_state(half, J, 0.0, dim).amplitudes
     x_half = _band_expectations(half, v_half, times)[1]
@@ -566,7 +576,6 @@ def invariant_checks(
         model.mass, model.omega, model.beta, amplitude, times
     )
     x_closed = trajectory_x_closed_form(classical, amplitude, times)
-    z = model.beta * model.mass**2 * model.omega**2 * amplitude**2
     dev = float(np.max(np.abs(x_ode - x_closed)))
     tol = max(1e-3 * amplitude * z, 1e-13 * amplitude)
     yield InvariantCheck(

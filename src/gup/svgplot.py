@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["Series", "line_chart"]
+import numpy as np
+
+__all__ = ["Series", "format_rows", "line_chart"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 18.0, 40.0, 48.0
@@ -24,7 +26,8 @@ _WIDTH, _HEIGHT = 760.0, 520.0
 class Series:
     """One curve: points in data coordinates plus a line style.
 
-    style is "solid" or "dashed".
+    points is a sequence of (x, y) pairs or an (n, 2) array; style is
+    "solid" or "dashed".
     """
 
     label: str
@@ -36,6 +39,18 @@ class Series:
             raise ValueError(f"unknown line style {self.style!r}")
         if len(self.points) == 0:
             raise ValueError("a series needs at least one point")
+
+
+def format_rows(template: str, *columns: list) -> str:
+    """template once per row, filled from the columns in one C-level % pass.
+
+    Row i takes entry i of each column in turn, so the template holds one
+    conversion per column; a literal % in it must be written %%.
+    """
+    values = [None] * (len(columns[0]) * len(columns))
+    for offset, column in enumerate(columns):
+        values[offset :: len(columns)] = column
+    return template * len(columns[0]) % tuple(values)
 
 
 def _escape(text: str) -> str:
@@ -91,7 +106,8 @@ def line_chart(
     """
     if not series:
         raise ValueError("need at least one series")
-    if min(p[0] for s in series for p in s.points) <= 0.0:
+    points = [np.asarray(s.points, dtype=float) for s in series]
+    if any(np.any(xy[:, 0] <= 0.0) for xy in points):
         raise ValueError("log x axis requires positive x values")
 
     width, height = _WIDTH, _HEIGHT
@@ -105,10 +121,11 @@ def line_chart(
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
 
-    def px(value: float) -> float:
-        return _MARGIN_L + (math.log10(value) - tx_lo) / (tx_hi - tx_lo) * plot_w
+    # scalars and arrays alike; px takes log10 of the data value
+    def px(log_value):
+        return _MARGIN_L + (log_value - tx_lo) / (tx_hi - tx_lo) * plot_w
 
-    def py(value: float) -> float:
+    def py(value):
         return _MARGIN_T + (y_hi - value) / (y_hi - y_lo) * plot_h
 
     out: list[str] = []
@@ -133,7 +150,7 @@ def line_chart(
     x_ticks = [(10.0**e, _decade_label(e)) for e in exponents if e % step == 0]
     y_ticks = _linear_ticks(y_lo, y_hi)
     for value, label in x_ticks:
-        x = px(value)
+        x = px(math.log10(value))
         out.append(
             f'<line x1="{x:.2f}" y1="{_MARGIN_T:.2f}" x2="{x:.2f}" '
             f'y2="{_MARGIN_T + plot_h:.2f}" stroke="#dddddd" stroke-width="1"/>'
@@ -176,27 +193,31 @@ def line_chart(
             f'transform="rotate(-90 16 {y_mid:.2f})">{_escape(y_label)}</text>'
         )
 
-    # curves
-    for index, s in enumerate(series):
+    # curves, a column at a time: each distinct x column is formatted once,
+    # and the shading polygon reuses the polyline's coordinates
+    bottom = f"{_MARGIN_T + plot_h:.2f}"
+    x_columns: list[tuple[np.ndarray, list[str]]] = []
+    for index, (s, xy) in enumerate(zip(series, points)):
         color = _PALETTE[index % len(_PALETTE)]
-        coords = [(px(x), py(y)) for x, y in s.points]
-        if len(coords) >= 2:
-            shade = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
-            bottom = _MARGIN_T + plot_h
-            shade += f" {coords[-1][0]:.2f},{bottom:.2f} {coords[0][0]:.2f},{bottom:.2f}"
+        x_text = next((text for xs, text in x_columns if np.array_equal(xs, xy[:, 0])), None)
+        if x_text is None:
+            log_x = np.fromiter(map(math.log10, xy[:, 0].tolist()), float, len(xy))
+            x_text = format_rows("%.2f\n", px(log_x).tolist()).splitlines()
+            x_columns.append((xy[:, 0], x_text))
+        path = format_rows("%s,%.2f ", x_text, py(xy[:, 1]).tolist())[:-1]
+        dash = ' stroke-dasharray="7 5"' if s.style == "dashed" else ""
+        if len(xy) == 1:
+            x, y = path.split(",")
+            out.append(
+                f'<circle cx="{x}" cy="{y}" r="3" fill="{color}" '
+                'clip-path="url(#plot)"/>'
+            )
+        else:
+            shade = f"{path} {x_text[-1]},{bottom} {x_text[0]},{bottom}"
             out.append(
                 f'<polygon points="{shade}" fill="{color}" fill-opacity="0.07" '
                 'stroke="none" clip-path="url(#plot)"/>'
             )
-        path = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
-        dash = ' stroke-dasharray="7 5"' if s.style == "dashed" else ""
-        if len(coords) == 1:
-            x, y = coords[0]
-            out.append(
-                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" '
-                'clip-path="url(#plot)"/>'
-            )
-        else:
             out.append(
                 f'<polyline points="{path}" fill="none" stroke="{color}" '
                 f'stroke-width="1.8"{dash} clip-path="url(#plot)"/>'

@@ -223,6 +223,73 @@ def gk_log_terms_loop(model, J: float, count: int) -> np.ndarray:
     return log_terms
 
 
+def reference_exclusion_csv(curves) -> str:
+    """The exclusion CSV written one row at a time, an f-string per point.
+
+    curves holds (label, style, points) with points a list of
+    (beta0, alpha_min) pairs.  The per-point writer the CLI used before it
+    formatted whole columns; nothing from gup.
+    """
+    lines = ["label,beta0,alpha_min,style"]
+    for label, style, points in curves:
+        for beta0, alpha in points:
+            lines.append(f"{label},{beta0:.12g},{alpha:.12g},{style}")
+    return "\n".join(lines) + "\n"
+
+
+_CHART_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+
+
+def reference_curve_elements(curves, x_range, y_range) -> list[str]:
+    """The SVG curve elements of an exclusion chart, one point at a time.
+
+    Scalar px/py on the 760 x 520 layout with margins 64 (left), 18
+    (right), 40 (top) and 48 (bottom), each coordinate formatted with
+    :.2f where it is written: per curve a shading polygon and a polyline,
+    or a circle for a single point.  curves is as for
+    reference_exclusion_csv.  Nothing from gup.
+    """
+    plot_w, plot_h = 760.0 - 64.0 - 18.0, 520.0 - 40.0 - 48.0
+    tx_lo, tx_hi = math.log10(x_range[0]), math.log10(x_range[1])
+    if tx_hi <= tx_lo:
+        tx_hi = tx_lo + 1.0
+    y_lo, y_hi = y_range
+    if y_hi <= y_lo:
+        y_hi = y_lo + 1.0
+
+    def px(value):
+        return 64.0 + (math.log10(value) - tx_lo) / (tx_hi - tx_lo) * plot_w
+
+    def py(value):
+        return 40.0 + (y_hi - value) / (y_hi - y_lo) * plot_h
+
+    out = []
+    for index, (_, style, points) in enumerate(curves):
+        color = _CHART_PALETTE[index % len(_CHART_PALETTE)]
+        coords = [(px(x), py(y)) for x, y in points]
+        if len(coords) == 1:
+            x, y = coords[0]
+            out.append(
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" '
+                'clip-path="url(#plot)"/>'
+            )
+            continue
+        bottom = 40.0 + plot_h
+        shade = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
+        shade += f" {coords[-1][0]:.2f},{bottom:.2f} {coords[0][0]:.2f},{bottom:.2f}"
+        out.append(
+            f'<polygon points="{shade}" fill="{color}" fill-opacity="0.07" '
+            'stroke="none" clip-path="url(#plot)"/>'
+        )
+        path = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
+        dash = ' stroke-dasharray="7 5"' if style == "dashed" else ""
+        out.append(
+            f'<polyline points="{path}" fill="none" stroke="{color}" '
+            f'stroke-width="1.8"{dash} clip-path="url(#plot)"/>'
+        )
+    return out
+
+
 def york_line_fit(x, y, sigma_x, sigma_y):
     """Straight-line fit with errors on both axes, York et al. 2004.
 

@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from xml.etree import ElementTree
@@ -16,9 +17,11 @@ from xml.etree import ElementTree
 import pytest
 
 import gup
-from gup import cli, oscillator
+from gup import bounds, cli, oscillator, svgplot
 from gup.bounds import slope_coefficients
 from gup.dynamics import PendulumConfig
+
+from conftest import reference_curve_elements, reference_exclusion_csv
 
 
 def run(capsys, *argv):
@@ -128,6 +131,48 @@ class TestDatasetRoundTrip:
         dataset = cli.load_dataset(cli.bundled_dataset_path(), 5e-3, 1e-4)
         assert dataset.series.x[0] == pytest.approx(43e-4, rel=1e-12)
         assert dataset.series.sigma_x[0] == 5e-3
+
+
+class TestDatasetParsing:
+    @staticmethod
+    def error(in_tmp, text):
+        path = in_tmp / "rows.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(cli.DatasetError) as caught:
+            cli.load_dataset(str(path), 5e-3, 1e-4)
+        return str(caught.value)
+
+    @pytest.mark.parametrize("body,message", [
+        ("100,3.47\nabc,3.48\n300\n400,3.49\n", "rows.csv:3: non-numeric field"),
+        ("100,3.47\n300\nabc,3.48\n400,3.49\n", "rows.csv:3: expected 2 fields, got 1"),
+        ("100,3.47\n\n \t\n200,3.48,1\nx,3.49\n", "rows.csv:5: expected 2 fields, got 3"),
+        ("100,3.47\n200,\n300,3.49\n", "rows.csv:3: non-numeric field"),
+        ("100,3.47\n1__00,3.48\n300,3.49\n", "rows.csv:3: non-numeric field"),
+    ])
+    def test_first_bad_line_is_named(self, in_tmp, body, message):
+        assert self.error(in_tmp, "amplitude_sq_cm2,period_s\n" + body).endswith(message)
+
+    def test_lenient_forms_parse_as_numbers(self, in_tmp):
+        # underscores, CRLF, blank and whitespace-only lines, padded fields,
+        # and U+001F, which str.strip() removes and float() does not
+        path = in_tmp / "lenient.csv"
+        path.write_bytes(
+            "amplitude_sq_cm2 , period_s\r\n  1_00 , 3.4735\r\n\r\n \t \r\n"
+            "200,\t3.4738 \r\n4e2,3.474_2\x1f\r\n\u00a0900,3.4752".encode()
+        )
+        series = cli.load_dataset(str(path), 5e-3, 1e-4).series
+        assert series.x.tolist() == [v * 1e-4 for v in (100.0, 200.0, 400.0, 900.0)]
+        assert series.y.tolist() == [3.4735, 3.4738, 3.4742, 3.4752]
+        assert series.sigma_y.tolist() == [1e-4] * 4
+
+    @pytest.mark.parametrize("bad,message", [
+        ("1.0,zz", "non-numeric field"), ("1.0", "expected 2 fields, got 1"),
+    ])
+    def test_bad_line_among_many_rows_is_named(self, in_tmp, bad, message):
+        rows = [f"{100 + 0.1 * i:.10g},{3.47 + 1e-7 * i:.10g}" for i in range(20_000)]
+        rows[12_344] = bad  # line 12,346: the header is line 1
+        text = "amplitude_sq_cm2,period_s\n" + "\n".join(rows) + "\n"
+        assert self.error(in_tmp, text).endswith(f"rows.csv:12346: {message}")
 
 
 class TestConfig:
@@ -292,6 +337,61 @@ class TestExclusion:
         assert "gravity_m_s2, mass_kg" in err
 
 
+_ODD_LABELS = {"version": 1, "scenarios": [
+    {"kind": "oscillator-frequency", "label": "100% <b> & %s %(x)d",
+     "n_particles": 1e20, "parameters": {"ratio_upper": 0.3}},
+    {"kind": "optomechanical", "label": "a&b <i>%%</i>", "style": "dashed",
+     "n_particles": 5e18, "parameters": {"ratio_upper": 2e-3}},
+    {"kind": "oscillator-frequency", "label": "trailing %",
+     "n_particles": 1e30, "parameters": {"ratio_upper": 5.0}},
+]}
+
+
+def assert_curve_elements(expected: list, svg: str) -> None:
+    """The chart's curve elements form one block of lines equal to expected."""
+    lines = svg.split("\n")
+    at = [i for i, line in enumerate(lines) if line.startswith(("<polygon", "<polyline", "<circle"))]
+    assert at == list(range(at[0], at[0] + len(expected)))
+    assert lines[at[0] : at[-1] + 1] == expected
+
+
+class TestExclusionWriters:
+    """The column-at-a-time CSV and SVG writers against per-point references."""
+
+    @pytest.mark.parametrize("registry", ["bundled", "odd labels"])
+    @pytest.mark.parametrize("beta0_range", [(1e-4, 1e8), (1e-300, 1e300), (3.0, 3.0)])
+    @pytest.mark.parametrize("points", [1, 2, 121, 20_001])
+    def test_match_per_point_writers(self, capsys, in_tmp, registry, beta0_range, points):
+        config = {"grid": {"beta0_min": beta0_range[0], "beta0_max": beta0_range[1],
+                           "points": points}}
+        if registry == "odd labels":
+            (in_tmp / "reg.json").write_text(json.dumps(_ODD_LABELS))
+            config["scenarios"] = str(in_tmp / "reg.json")
+        (in_tmp / "conf.json").write_text(json.dumps(config))
+        code, _, err = run(capsys, "exclusion", "--config", "conf.json",
+                           "--out-csv", "b.csv", "--out-svg", "b.svg")
+        assert (code, err) == (0, "")
+
+        resolved = cli.load_config("conf.json")
+        grid = bounds.beta0_log_grid(**resolved["grid"])
+        curves = [(c["label"], c["style"], c["boundary"].points.tolist())
+                  for c in cli._scenario_curves(resolved, grid)]
+        assert (in_tmp / "b.csv").read_bytes() == reference_exclusion_csv(curves).encode()
+        expected = reference_curve_elements(curves, beta0_range, (-1.0, 1.0))
+        assert_curve_elements(expected, (in_tmp / "b.svg").read_text())
+
+    def test_distinct_x_columns_and_point_lists(self):
+        curves = [
+            ("one", "solid", [(1.0, 0.1), (10.0, 0.2), (100.0, -0.3)]),
+            ("same x", "dashed", [(1.0, 0.5), (10.0, 0.6), (100.0, 0.7)]),
+            ("other x", "solid", [(2.0, 0.0), (20.0, 0.25)]),
+            ("single", "dashed", [(5.0, -0.5)]),
+        ]
+        series = [svgplot.Series(label, points, style) for label, style, points in curves]
+        svg = svgplot.line_chart(series, x_range=(1.0, 100.0), y_range=(-1.0, 1.0))
+        assert_curve_elements(reference_curve_elements(curves, (1.0, 100.0), (-1.0, 1.0)), svg)
+
+
 class TestPeriod:
     def test_first_order_at_rest(self, capsys):
         code, out, _ = run(capsys, "period", "--amplitude", "0", "--first-order")
@@ -449,6 +549,28 @@ class TestQuantumCheck:
         assert code == 1
         assert out == ""
         assert err.startswith("gup: error: hbar m omega") and err.count("\n") == 1
+
+    # z = beta m^2 omega^2 A^2 = 8 beta at J = 4: the first-order closed forms
+    # mean nothing from z = 1 on, and the hbar->0 check's ODE ran for seconds
+    # at beta = 1e4 before this refusal
+    @pytest.mark.parametrize("beta", ["1e4", "0.125"])
+    def test_deformation_past_the_closed_forms_refused(self, capsys, beta):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "quantum-check", "--beta", beta, "--j", "4")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            f"gup: numerical failure: z = beta m^2 omega^2 A^2 = {8 * float(beta):.3g} "
+        )
+        assert err.count("\n") == 1
+
+    def test_deformation_below_the_bound_still_checked(self, capsys):
+        code, out, _ = run(capsys, "quantum-check", "--beta", "0.12", "--j", "4")
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 7 and lines[-1] == "quantum checks FAILED"
+        assert "hbar->0 vs classical ODE" in lines[5]
 
     @pytest.mark.parametrize("j", ["nan", "inf"])
     def test_non_finite_action_refused(self, capsys, j):

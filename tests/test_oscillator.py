@@ -349,6 +349,18 @@ class TestClosedForms:
                 x_exp, rel=1e-12
             )
 
+    def test_expectation_form_survives_tiny_hbar(self):
+        # hbar^3 m omega = 1e-500 underflows to 0; the beta term is
+        # beta hbar^2 sqrt(m omega) ~ 3e-106 times a J-sized factor
+        model = OscillatorModel(mass=1e-50, omega=1.0, hbar=1e-150, beta=2e194)
+        J = 4.0
+        amp = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
+        for t in (0.4, 2.0, 7.3):
+            x_exp, _ = expectation_xp_closed_form(model, J, model.omega * t)
+            x_traj = trajectory_x_closed_form(model, amp, t)
+            assert abs(x_traj - amp * math.cos(t)) > 1e-7 * amp
+            assert x_exp == pytest.approx(x_traj, rel=1e-12, abs=0.0)
+
     def test_undeformed_is_pure_cosine(self):
         model = model_units(beta=0.0)
         ts = np.linspace(0.0, 10.0, 50)
