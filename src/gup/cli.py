@@ -171,7 +171,7 @@ def load_dataset(path: str, sigma_x_m2: float, sigma_y_s: float) -> Dataset:
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            lines = handle.read().split("\n")  # universal newlines made every line end \n
     except OSError as exc:
         raise DatasetError(f"{path}: {exc.strerror or exc}") from None
     rows = list(filter(str.strip, lines))
@@ -357,6 +357,8 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
             handle.write("label,beta0,alpha_min,style\n")
             for curve in curves:
                 label = curve["label"].replace("%", "%%")
+                if any(c in label for c in ',"\r\n'):  # quoted as RFC 4180 asks
+                    label = '"' + label.replace('"', '""') + '"'
                 handle.write(svgplot.format_rows(
                     f"{label},%s,%.12g,{curve['style']}\n",
                     beta0_text,

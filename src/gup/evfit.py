@@ -13,11 +13,12 @@ both be eliminated analytically, leaving a one-dimensional profile
     w_i(b) = 1 / (sy_i^2 + b^2 sx_i^2),
     a*(b) = sum_i w_i (y_i - b x_i) / sum_i w_i,
 
-whose stationary points are found by safeguarded Newton iteration with
-analytic first and second derivatives.  The parameter covariance comes
-from the Hessian of the profiled-in-xi objective in (a, b), with the
-supplied sigmas taken at face value (no rescaling by the reduced
-chi-square), so the reported errors track the stated measurement
+whose stationary points are all found as roots of a piecewise Chebyshev proxy
+of h' (Boyd 2002, SIAM J. Numer. Anal. 40, 1666), each polished by Newton
+iteration on analytic derivatives; the lowest minimum is the fit.  The
+parameter covariance comes from the Hessian of the profiled-in-xi objective
+in (a, b), with the supplied sigmas taken at face value (no rescaling by the
+reduced chi-square), so the reported errors track the stated measurement
 uncertainties rather than the observed scatter.
 """
 
@@ -118,14 +119,6 @@ def _require_fittable(series: MeasurementSeries) -> None:
         raise DegenerateDataError("all x values coincide; slope is unconstrained")
 
 
-def _covariance_from_hessian(haa: float, hab: float, hbb: float) -> np.ndarray:
-    # chi^2 curvature -> covariance of (intercept, slope) is 2 H^{-1}
-    det = haa * hbb - hab * hab
-    if det <= 0.0 or haa <= 0.0:
-        raise FitConvergenceError("objective Hessian is not positive definite")
-    return (2.0 / det) * np.array([[hbb, -hab], [-hab, haa]])
-
-
 def _finish(slope, intercept, cov, chi2, n, method) -> LinearFit:
     cov = np.asarray(cov, dtype=float)
     cov.flags.writeable = False
@@ -174,43 +167,33 @@ def _profile_derivatives(series: MeasurementSeries, b: float):
     x, sx2 = series.x, series.sigma_x**2
     w = 1.0 / (series.sigma_y**2 + b * b * sx2)
     sw = np.sum(w)
-    a = np.sum(w * (series.y - b * x)) / sw
-    r = series.y - a - b * x
+    xm, ym = np.sum(w * x) / sw, np.sum(w * series.y) / sw
+    # about the weighted means, h' is free of the rounding of a
+    r = (series.y - ym) - b * (x - xm)
     wp = -2.0 * b * sx2 * w * w
     wpp = -2.0 * sx2 * w * w + 8.0 * b * b * sx2 * sx2 * w**3
     h = float(np.sum(w * r * r))
-    hp = float(np.sum(wp * r * r - 2.0 * w * r * x))
+    hp = float(np.sum(wp * r * r - 2.0 * w * r * (x - xm)))
     haa = 2.0 * sw
     hab = float(np.sum(-2.0 * wp * r + 2.0 * w * x))
     hbb = float(np.sum(wpp * r * r - 4.0 * wp * r * x + 2.0 * w * x * x))
-    return h, hp, haa, hab, hbb, a
+    return h, hp, haa, hab, hbb, ym - b * xm
 
 
-# grid slopes x rows held at once by the bracket scan
+# grid slopes x rows held at once by _scan_derivative
 _SCAN_BLOCK = 1 << 16
 
 
 def _scan_derivative(series: MeasurementSeries, grid: np.ndarray, a0: float, b0: float):
-    """h'(b) at every slope of ``grid`` from weighted moments.
+    """h'(b) at every slope of ``grid``, as _profile_derivatives forms it.
 
-    The data are centred on the line a0 + b0 x (x~ = x - mean(x),
-    y~ = y - a0 - b0 x), so with d = b - b0 the residual is
-    r = y~ - d x~ - a~ and the profiled a~ = (S_y - d S_x) / S_1, where
-    S = W @ [1, x~, y~, x~y~, x~^2] and W_ij = 1 / (sy_j^2 + b_i^2 sx_j^2).
-    Since sum w r = 0 at a~, sum w r x = sum w r x~ and
-
-        h' = -2 b sum w^2 sx^2 r^2 - 2 (S_xy - a~ S_x - d S_xx),
-
-    with sum w^2 sx^2 r^2 expanded over the moments Q = (W o W) @
-    (sx^2 o [1, x~, y~, x~y~, x~^2, y~^2]).  W is the only grid x rows
-    array, built one block of slopes at a time.  The scan reads only the
-    signs; Newton and the covariance use the pointwise _profile_derivatives.
+    With x~ = x - mean(x), y~ = y - a0 - b0 x, d = b - b0 and r = y~ - d x~ - a~ taken
+    about each slope's weighted means (accurate where a few rows hold nearly all the
+    weight), h' = -2 b sum w^2 sx^2 r^2 - 2 sum w r (x~ - mean_w x~), a block at a time.
     """
     x, sx2, sy2 = series.x, series.sigma_x**2, series.sigma_y**2
     xt = x - np.mean(x)
     yt = series.y - a0 - b0 * x
-    moments = np.column_stack([np.ones_like(xt), xt, yt, xt * yt, xt * xt])
-    sq_moments = sx2[:, None] * np.column_stack([moments, yt * yt])
     step = max(1, _SCAN_BLOCK // len(series))
     values = np.empty(grid.size)
     for start in range(0, grid.size, step):
@@ -218,88 +201,103 @@ def _scan_derivative(series: MeasurementSeries, grid: np.ndarray, a0: float, b0:
         w = np.multiply.outer(b * b, sx2)
         w += sy2
         np.reciprocal(w, out=w)
-        s1, sx, sy, sxy, sxx = (w @ moments).T
-        w *= w
-        q1, qx, qy, qxy, qxx, qyy = (w @ sq_moments).T
+        xm, ym = (w @ np.column_stack([xt, yt])).T / w.sum(axis=1)
         d = b - b0
-        at = (sy - d * sx) / s1
-        wr2 = qyy + d * d * qxx + at * at * q1 - 2.0 * (d * qxy + at * qy - d * at * qx)
-        values[start : start + step] = -2.0 * b * wr2 - 2.0 * (sxy - at * sx - d * sxx)
+        r = yt - np.multiply.outer(d, xt) - (ym - d * xm)[:, None]
+        r *= w
+        wr_x = r @ xt - xm * r.sum(axis=1)
+        r *= r
+        values[start : start + step] = -2.0 * b * (r @ sx2) - 2.0 * wr_x
     return values
 
 
-def _stationary_brackets(series: MeasurementSeries, a0: float, b0: float):
-    """Slope intervals on which h' changes sign, scanned around a0 + b0 x.
+# first-kind Chebyshev points cos(_PROXY_ANGLES); values there @ _TO_COEFFS = coefficients
+_PROXY_ANGLES = np.pi * (np.arange(33) + 0.5) / 33
+_TO_COEFFS = np.cos(np.outer(_PROXY_ANGLES, np.arange(33))) * (2.0 - (np.arange(33) == 0)) / 33
+_MAX_PIECES = 1024
 
-    A sign scan over a generous grid around the initial guess.  With a
-    constant sigma_x / sigma_y ratio the profile has at most two
-    stationary points and the scan finds them all; with per-row sigmas it
-    can have more, and a close pair between two grid slopes is missed.
+
+def _stationary_slopes(series: MeasurementSeries, a0: float, b0: float) -> list:
+    """Every slope at which h'(b) vanishes, from a piecewise Chebyshev proxy.
+
+    b = s tan(theta), s the geometric median of sigma_y / sigma_x, maps theta in
+    (-pi/2, pi/2) onto the slopes: h(theta) is smooth, a trigonometric polynomial
+    of degree 2 for one common ratio, and dh/dtheta has poles atanh(min(q, 1/q))
+    above 0 and +-pi/2 for each row's q = (sigma_y / sigma_x) / s.  Pieces start
+    graded toward them, are sampled together by _scan_derivative and are halved
+    until their last 8 coefficients are below 1e-8 of the top, or flat at most 1e-3
+    below (theta's rounding near +-pi/2).  Colleague matrices give roots (Boyd 2013).
     """
-    spread = np.ptp(series.y) / np.ptp(series.x)
-    scale = max(abs(b0), spread, 1e-30)
-    grid = np.concatenate(
-        [
-            b0 + scale * np.linspace(-40.0, 40.0, 481),
-            # far wings in case the second stationary point sits far out
-            b0 + scale * np.array([-4e3, -4e2, 4e2, 4e3]),
-        ]
-    )
-    grid = np.unique(grid)
-    signs = np.sign(_scan_derivative(series, grid, a0, b0))
-    brackets = []
-    for i in range(len(grid) - 1):
-        if signs[i] == 0.0:
-            brackets.append((grid[i], grid[i]))
-        elif signs[i] * signs[i + 1] < 0.0:
-            brackets.append((grid[i], grid[i + 1]))
-    return brackets
-
-
-def _newton_on_bracket(series: MeasurementSeries, lo: float, hi: float) -> float:
-    """Root of h' inside [lo, hi] by Newton with bisection fallback."""
-    if lo == hi:
-        return lo
-    flo = _profile_derivatives(series, lo)[1]
-    b = 0.5 * (lo + hi)
-    for _ in range(100):
-        _, hp, haa, hab, hbb, _ = _profile_derivatives(series, b)
-        hpp = hbb - hab * hab / haa
-        if hp == 0.0:
-            return b
-        if flo * hp < 0.0:
-            hi = b
-        else:
-            lo = b
-        step_ok = hpp != 0.0
-        if step_ok:
-            candidate = b - hp / hpp
-            step_ok = lo < candidate < hi
-        b_next = candidate if step_ok else 0.5 * (lo + hi)
-        if abs(b_next - b) <= 1e-15 * max(1.0, abs(b_next)):
-            return b_next
-        b = b_next
-    raise FitConvergenceError("profile Newton iteration did not converge")
+    ratio = series.sigma_y / series.sigma_x
+    s = math.exp(float(np.median(np.log(ratio))))
+    q0, q1 = float(np.min(ratio)) / s, s / float(np.max(ratio))
+    # one piece if all poles are 2 or more off the line (q > tanh 2), else one per foot side
+    edges = set(np.linspace(-0.5 * math.pi, 0.5 * math.pi, 2 if min(q0, q1) > 0.964 else 5))
+    for foot, q in ((0.0, q0), (0.5 * math.pi, q1)):
+        reach = 3.0 * math.atanh(min(q, 0.5))
+        while 0.0 < reach < 0.125 * math.pi:  # edges 3, 12, 48, ... pole heights off each foot
+            edges |= {foot - reach, reach - foot}
+            reach *= 4.0
+    edges = np.array(sorted(edges))
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    roots, evaluated = [], 0
+    while mid.size:
+        if (evaluated := evaluated + mid.size) > _MAX_PIECES:
+            raise FitConvergenceError(f"slope profile unresolved in {_MAX_PIECES} pieces")
+        t = np.tan(mid[:, None] + half[:, None] * np.cos(_PROXY_ANGLES))
+        # dh/dtheta / s; the constant factor moves no root
+        f = _scan_derivative(series, s * t.ravel(), a0, b0).reshape(t.shape) * (1.0 + t * t)
+        size = np.abs(coeffs := f @ _TO_COEFFS)
+        top, tail, before = size.max(1), size[:, -8:].max(1), size[:, -16:-8].max(1)
+        done = (tail <= 1e-8 * top) | (tail <= 1e-3 * top) & (tail >= 0.1 * before)
+        floors = 4.0 * np.maximum(tail, 1e-14 * top)[done]
+        for c, floor, m, h in zip(coeffs[done], floors, mid[done], half[done]):
+            d = np.max(np.flatnonzero(np.abs(c) > floor), initial=0)
+            if d == 0 or abs(c[0]) > np.sum(np.abs(c[1 : d + 1])):  # no root in [-1, 1]
+                continue
+            colleague = 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
+            colleague[1:2, 0] = 1.0  # basis T_0 / 2, T_1, ..., T_(d-1), so d = 1 is no case
+            colleague[-1] -= np.r_[2.0 * c[0], c[1:d]] / (2.0 * c[d])
+            x = np.linalg.eigvals(colleague)
+            x = x.real[(np.abs(x.imag) <= 1e-8) & (np.abs(x.real) <= 1.0 + 1e-8)]
+            roots.extend(s * np.tan(m + h * x))
+        mid, half = mid[~done], 0.5 * half[~done]
+        mid, half = np.r_[mid - half, mid + half], np.r_[half, half]
+    return roots
 
 
 def odr_fit(series: MeasurementSeries) -> LinearFit:
     """Straight-line fit treating both coordinates as uncertain.
 
-    Minimizes the orthogonal-distance objective by profiling out the
-    per-point true abscissae and the intercept, then taking the lowest
-    stationary point of the remaining one-dimensional slope profile that
-    the bracket scan finds (the global minimum for a constant sigma ratio;
-    see _stationary_brackets).
+    Profiles out the per-point true abscissae and the intercept, polishes every
+    stationary point of the slope profile (_stationary_slopes) by Newton
+    iteration and keeps the lowest minimum: the global one.
     """
-    _require_fittable(series)
-    start = wls_fit(series)
-    brackets = _stationary_brackets(series, start.intercept, start.slope)
-    if not brackets:
-        raise FitConvergenceError("no stationary point of the slope profile found")
-    candidates = [_newton_on_bracket(series, lo, hi) for lo, hi in brackets]
-    slope = min(candidates, key=lambda b: _profile_derivatives(series, b)[0])
-    chi2, _, haa, hab, hbb, intercept = _profile_derivatives(series, slope)
-    cov = _covariance_from_hessian(haa, hab, hbb)
+    start = wls_fit(series)  # also refuses data that cannot constrain a line
+    minima = []
+    for b in _stationary_slopes(series, start.intercept, start.slope):
+        step = math.inf
+        for _ in range(20):
+            found = _profile_derivatives(series, b)
+            hpp = found[4] - found[3] ** 2 / found[2]
+            if not hpp > 0.0:  # a maximum or an inflection
+                break
+            new = found[1] / hpp
+            # below b's last bit, or of the slope's error, or no longer shrinking
+            if abs(new) <= 1e-16 * (abs(b) + start.slope_se) or not abs(new) < abs(step):
+                minima.append((found[0], b, found))
+                break
+            b, step = b - new, new
+        else:
+            raise FitConvergenceError("profile Newton iteration did not converge")
+    if not minima:
+        raise FitConvergenceError("no minimum of the slope profile found")
+    _, slope, (chi2, _, haa, hab, hbb, intercept) = min(minima)
+    # chi^2 curvature -> covariance of (intercept, slope) is 2 H^{-1}
+    det = haa * hbb - hab * hab
+    if det <= 0.0 or haa <= 0.0:
+        raise FitConvergenceError("objective Hessian is not positive definite")
+    cov = (2.0 / det) * np.array([[hbb, -hab], [-hab, haa]])
     return _finish(slope, intercept, cov, chi2, len(series), "odr")
 
 

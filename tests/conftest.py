@@ -327,6 +327,50 @@ def york_line_fit(x, y, sigma_x, sigma_y):
     return a, b, chi2
 
 
+def profile_by_slope(series: MeasurementSeries, slopes) -> tuple[np.ndarray, np.ndarray]:
+    """The slope profile h(b) and its derivative h'(b) at each of ``slopes``.
+
+    Plain sums over the rows with the intercept profiled out,
+
+        w = 1 / (sy^2 + b^2 sx^2),  a = sum w (y - b x) / sum w,
+        h = sum w r^2,  h' = sum (-2 b sx^2 w^2 r^2 - 2 w r x),  r = y - a - b x,
+
+    one slope per row of a block of at most 2^20 elements.  Numpy only:
+    independent of _scan_derivative and the Chebyshev proxy in gup.evfit.
+    """
+    x, y = series.x, series.y
+    sx2, sy2 = series.sigma_x**2, series.sigma_y**2
+    slopes = np.asarray(slopes, dtype=float)
+    h, hp = np.empty_like(slopes), np.empty_like(slopes)
+    step = max(1, (1 << 20) // x.size)
+    for i in range(0, slopes.size, step):
+        b = slopes[i : i + step, None]
+        w = 1.0 / (sy2 + b * b * sx2)
+        a = np.sum(w * (y - b * x), axis=1, keepdims=True) / np.sum(w, axis=1, keepdims=True)
+        r = y - a - b * x
+        h[i : i + step] = np.sum(w * r * r, axis=1)
+        hp[i : i + step] = np.sum(-2.0 * b * sx2 * w * w * r * r - 2.0 * w * r * x, axis=1)
+    return h, hp
+
+
+def dense_profile_scan(series: MeasurementSeries, points: int = 4001, scales: int = 12):
+    """Slopes b, h(b) and h'(b) on a dense grid, sorted by b.
+
+    For each row's own ratio r = sigma_y / sigma_x (at most ``scales`` of
+    them, taken by quantile over their range when there are more), the
+    slopes b = r tan(theta) at ``points`` evenly spaced theta strictly
+    inside (-pi/2, pi/2); the profile from profile_by_slope.  The lowest h
+    bounds the global minimum of the fit from above, and each sign change
+    of h' brackets a stationary point.
+    """
+    ratios = np.unique(series.sigma_y / series.sigma_x)
+    if ratios.size > scales:
+        ratios = np.quantile(ratios, np.linspace(0.0, 1.0, scales))
+    theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, points + 2)[1:-1]
+    slopes = np.unique(np.multiply.outer(ratios, np.tan(theta)))
+    return (slopes, *profile_by_slope(series, slopes))
+
+
 @pytest.fixture(scope="session")
 def experiment() -> PendulumConfig:
     return PendulumConfig(mass=1.22, length=2.9954, gravity=9.80393)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import importlib
 import json
 import math
@@ -164,6 +165,15 @@ class TestDatasetParsing:
         assert series.x.tolist() == [v * 1e-4 for v in (100.0, 200.0, 400.0, 900.0)]
         assert series.y.tolist() == [3.4735, 3.4738, 3.4742, 3.4752]
         assert series.sigma_y.tolist() == [1e-4] * 4
+
+    @pytest.mark.parametrize("separator", [
+        "\u2028", "\u2029", "\u0085", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+    ])
+    def test_only_newlines_end_rows(self, in_tmp, separator):
+        # str.splitlines() would break these rows in two and count the extra line
+        body = f"100,3.4735\n200,3.4738{separator}400,3.4742\n900,3.4752\n"
+        message = self.error(in_tmp, "amplitude_sq_cm2,period_s\n" + body)
+        assert message.endswith("rows.csv:3: expected 2 fields, got 3")
 
     @pytest.mark.parametrize("bad,message", [
         ("1.0,zz", "non-numeric field"), ("1.0", "expected 2 fields, got 1"),
@@ -379,6 +389,23 @@ class TestExclusionWriters:
         assert (in_tmp / "b.csv").read_bytes() == reference_exclusion_csv(curves).encode()
         expected = reference_curve_elements(curves, beta0_range, (-1.0, 1.0))
         assert_curve_elements(expected, (in_tmp / "b.svg").read_text())
+
+    def test_labels_with_separators_are_quoted(self, capsys, in_tmp):
+        labels = ["membranes, SiN", 'the "bar" pendulum', "two\nlines", "cr\r, 100%"]
+        registry = {"version": 1, "scenarios": [
+            {"kind": "oscillator-frequency", "label": label, "n_particles": 1e20,
+             "parameters": {"ratio_upper": 0.3}} for label in labels
+        ]}
+        (in_tmp / "reg.json").write_text(json.dumps(registry))
+        (in_tmp / "conf.json").write_text(json.dumps(
+            {"scenarios": "reg.json", "grid": {"points": 3}}))
+        code, _, err = run(capsys, "exclusion", "--config", "conf.json", "--out-csv", "b.csv")
+        assert (code, err) == (0, "")
+        with open(in_tmp / "b.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["label", "beta0", "alpha_min", "style"]
+        assert [row[0] for row in rows[1:]] == [label for label in labels for _ in range(3)]
+        assert {len(row) for row in rows} == {4}
 
     def test_distinct_x_columns_and_point_lists(self):
         curves = [
@@ -637,12 +664,13 @@ class TestImports:
 
     @staticmethod
     def _scipy_loaded_after(code, cwd):
-        """scipy modules in sys.modules after running code in a fresh interpreter."""
+        """scipy and numpy.polynomial modules in sys.modules after running
+        code in a fresh interpreter (each costs start-up time)."""
         env = dict(os.environ, PYTHONPATH=str(Path(gup.__file__).parents[1]))
         probe = code + (
             "\nimport sys"
             "\nprint(sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))"
+            " if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, cwd=cwd, capture_output=True,

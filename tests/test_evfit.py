@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from gup import evfit
 from gup.evfit import (
     DegenerateDataError,
+    FitConvergenceError,
     MeasurementSeries,
     _scan_derivative,
-    _stationary_brackets,
+    _stationary_slopes,
     _t_quantile,
     _t_upper_tail,
     confidence_interval,
@@ -20,7 +22,7 @@ from gup.evfit import (
     wls_fit,
 )
 
-from conftest import york_line_fit
+from conftest import dense_profile_scan, profile_by_slope, york_line_fit
 
 
 def chi2_objective(series: MeasurementSeries, intercept: float, slope: float) -> float:
@@ -206,38 +208,6 @@ class TestOdr:
             odr_fit(s)
 
 
-def loop_brackets(series: MeasurementSeries, b0: float):
-    """The bracket scan as one pointwise h'(b) evaluation per grid slope.
-
-    Returns (grid, h' values, brackets).  h' is summed per slope exactly
-    as the pointwise profile derivative does it, so this is the scan the
-    moment evaluation has to reproduce sign for sign.
-    """
-    x, y, sx2, sy2 = series.x, series.y, series.sigma_x**2, series.sigma_y**2
-    spread = np.ptp(y) / np.ptp(x)
-    scale = max(abs(b0), spread, 1e-30)
-    grid = np.unique(np.concatenate([
-        b0 + scale * np.linspace(-40.0, 40.0, 481),
-        b0 + scale * np.array([-4e3, -4e2, 4e2, 4e3]),
-    ]))
-    values = []
-    for b in grid:
-        w = 1.0 / (sy2 + b * b * sx2)
-        a = np.sum(w * (y - b * x)) / np.sum(w)
-        r = y - a - b * x
-        wp = -2.0 * b * sx2 * w * w
-        values.append(float(np.sum(wp * r * r - 2.0 * w * r * x)))
-    values = np.array(values)
-    signs = np.sign(values)
-    brackets = []
-    for i in range(len(grid) - 1):
-        if signs[i] == 0.0:
-            brackets.append((grid[i], grid[i]))
-        elif signs[i] * signs[i + 1] < 0.0:
-            brackets.append((grid[i], grid[i + 1]))
-    return grid, values, brackets
-
-
 def heteroscedastic_series(seed: int) -> MeasurementSeries:
     rng = np.random.default_rng([20261018, seed])
     n = int(rng.integers(3, 12))
@@ -261,14 +231,47 @@ def timing_shaped_series(rows: int, per_row_sigmas: bool) -> MeasurementSeries:
     )
 
 
+def probe_series(index: int) -> MeasurementSeries:
+    """Set ``index`` of a 4,000-set probe drawn from numpy's default_rng(1).
+
+    n from 3 to 11, x and y from N(0, 1), sigma_x and sigma_y log-uniform
+    in [1e-2, 10], drawn in that order set after set.
+    """
+    rng = np.random.default_rng(1)
+    for _ in range(index + 1):
+        n = int(rng.integers(3, 12))
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        sx, sy = 10.0 ** rng.uniform(-2.0, 1.0, n), 10.0 ** rng.uniform(-2.0, 1.0, n)
+    return MeasurementSeries(x=x, y=y, sigma_x=sx, sigma_y=sy)
+
+
+def dense_grid(series: MeasurementSeries) -> dict:
+    """A coarser oracle grid for thousands of rows, to keep the suite fast."""
+    return {"points": 257, "scales": 5} if len(series) > 1000 else {}
+
+
+# the probe sets on which a sign scan of h' over 485 fixed slopes around the
+# weighted-least-squares slope stepped over the global minimum
+SCAN_MISSES = [
+    133, 227, 568, 829, 1164, 1772, 1893, 1945, 2000, 2179, 2446,
+    2672, 2740, 2909, 3050, 3366, 3410, 3670, 3703, 3752, 3773,
+]
+
+
 class TestBracketScan:
     @staticmethod
     def check_against_loop(series: MeasurementSeries) -> None:
+        """_scan_derivative matches the pointwise h' on the dense oracle grid,
+        and every sign change of that h' holds a root of the proxy."""
         start = wls_fit(series)
-        grid, values, brackets = loop_brackets(series, start.slope)
-        assert _stationary_brackets(series, start.intercept, start.slope) == brackets
-        scan = _scan_derivative(series, grid, start.intercept, start.slope)
+        slopes, _, values = dense_profile_scan(series, **dense_grid(series))
+        scan = _scan_derivative(series, slopes, start.intercept, start.slope)
         assert np.max(np.abs(scan - values)) <= 1e-8 * np.max(np.abs(values))
+        roots = np.array(_stationary_slopes(series, start.intercept, start.slope))
+        for k in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
+            lo, hi = slopes[k], slopes[k + 1]
+            slack = 1e-7 * max(abs(lo), abs(hi))
+            assert np.any((roots >= lo - slack) & (roots <= hi + slack)), (lo, hi)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_heteroscedastic_sets_match_loop(self, seed):
@@ -282,13 +285,22 @@ class TestBracketScan:
     def test_bundled_dataset_matches_loop(self, timing_series):
         self.check_against_loop(timing_series)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a close pair of stationary points between two grid slopes is "
-        "stepped over; the fit lands in a local minimum",
-    )
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scan_matches_loop_near_vertical_slopes(self, seed):
+        # dh/dtheta up to the constant s, the values the proxy interpolates,
+        # down to 1e-3 from theta = +-pi/2 (|b| about 1e3 s)
+        series = heteroscedastic_series(seed)
+        start = wls_fit(series)
+        s = math.exp(float(np.median(np.log(series.sigma_y / series.sigma_x))))
+        theta = 0.5 * np.pi - np.geomspace(1e-3, 1.5, 25)
+        t = np.tan(np.concatenate([-theta, theta]))
+        loop = profile_by_slope(series, s * t)[1] * (1.0 + t * t)
+        scan = _scan_derivative(series, s * t, start.intercept, start.slope) * (1.0 + t * t)
+        assert np.max(np.abs(scan - loop)) <= 1e-8 * np.max(np.abs(loop))
+
     def test_finds_global_minimum_with_per_row_sigmas(self):
-        # chi^2 is 0.15735 at slope -0.6147; the scan returns 0.43017 at 0.4643
+        # chi^2 is 0.15735 at slope -0.6147; a sign scan on a fixed slope
+        # grid returned the local minimum 0.43017 at 0.4643
         s = MeasurementSeries(
             x=[0.5823905409008899, 2.2503006789362723, 0.4951043650764877],
             y=[1.2368065561840522, -1.1413533414277894, -0.6540483449670293],
@@ -296,6 +308,42 @@ class TestBracketScan:
             sigma_y=[0.17116340046946105, 2.517451855849723, 0.06845547487960302],
         )
         assert odr_fit(s).chi2 <= 0.15736
+
+
+class TestGlobalMinimum:
+    @staticmethod
+    def check_global(series: MeasurementSeries) -> None:
+        fit = odr_fit(series)
+        _, h, _ = dense_profile_scan(series, **dense_grid(series))
+        assert fit.chi2 <= h.min() * (1.0 + 1e-9)
+        assert fit.chi2 == pytest.approx(
+            chi2_objective(series, fit.intercept, fit.slope), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_heteroscedastic_fit_is_global(self, seed):
+        self.check_global(heteroscedastic_series(seed))
+
+    @pytest.mark.parametrize("index", SCAN_MISSES)
+    def test_close_pairs_of_stationary_points(self, index):
+        self.check_global(probe_series(index))
+
+    @pytest.mark.parametrize("rows", [18, 2000])
+    def test_timing_shaped_fit_is_global(self, rows):
+        self.check_global(timing_shaped_series(rows, per_row_sigmas=True))
+
+    def test_sigma_ratio_past_float_range_raises(self):
+        # sigma_y / sigma_x underflows to 0 for one row: no pole height to grade by
+        s = MeasurementSeries(x=[0.0, 1.0, 2.0, 3.0], y=[0.0, 1.0, 2.0, 2.5],
+                              sigma_x=[1e300, 1.0, 1.0, 1.0], sigma_y=[1e-300, 1.0, 1.0, 1.0])
+        with np.errstate(all="ignore"), pytest.raises(FitConvergenceError):
+            odr_fit(s)
+
+    def test_unresolved_profile_raises(self, monkeypatch):
+        # per-row sigma ratios need more than the one piece allowed here
+        monkeypatch.setattr(evfit, "_MAX_PIECES", 1)
+        with pytest.raises(FitConvergenceError):
+            odr_fit(timing_shaped_series(18, per_row_sigmas=True))
 
 
 class TestConfidenceInterval:
