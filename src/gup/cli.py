@@ -74,14 +74,11 @@ _DEFAULT_CONFIG = {
 # five times the largest exclusion grid the benchmark runs
 _MAX_GRID_POINTS = 100_001
 
+# the numeric keys are those with a float default
 _CONFIG_NUMERIC = {
-    "pendulum.mass_kg",
-    "pendulum.gravity_m_s2",
-    "fit.confidence_level",
-    "fit.sigma_amplitude_sq_m2",
-    "fit.sigma_period_s",
-    "grid.beta0_min",
-    "grid.beta0_max",
+    f"{section}.{key}"
+    for section, content in _DEFAULT_CONFIG.items() if isinstance(content, dict)
+    for key, value in content.items() if isinstance(value, float)
 }
 
 
@@ -310,6 +307,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # --- exclusion -------------------------------------------------------------
 
 
+# what str.splitlines breaks at, escaped so that a label keeps its table row
+_LINE_BREAKS = {ord(c): c.encode("unicode_escape").decode()
+                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def _scenario_curves(config: dict, grid: np.ndarray) -> list[dict]:
     scenarios = bounds.load_scenarios(config["scenarios"])
     fit_bound = None
@@ -346,7 +348,7 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
     for curve in curves:
         alpha_unit = bounds.alpha_bound(curve["upper"], curve["n_particles"], 1.0)
         print(
-            f"{curve['label']:<38} style={curve['style']:<6} "
+            f"{curve['label'].translate(_LINE_BREAKS):<38} style={curve['style']:<6} "
             f"B={curve['upper']:.4g} N={curve['n_particles']:.4g} "
             f"alpha_min(beta0=1)={alpha_unit:+.4f}"
         )
@@ -392,6 +394,8 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
 
 
 def cmd_period(args: argparse.Namespace) -> int:
+    if args.out_csv and args.method != "trajectory":
+        raise ValueError(f"--out-csv needs --trajectory: --{args.method} computes no samples")
     pend = dynamics.PendulumConfig(
         mass=args.mass, length=args.length, gravity=args.gravity
     )
@@ -466,7 +470,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         ref_text = f" ref_alpha={reference:+.2f}" if reference is not None else ""
         inferred = f" inferred={','.join(scenario.inferred)}" if scenario.inferred else ""
         print(
-            f"{scenario.label:<38} kind={scenario.kind:<20} "
+            f"{scenario.label.translate(_LINE_BREAKS):<38} kind={scenario.kind:<20} "
             f"style={scenario.style:<6} N={n_text}{ref_text}{inferred}"
         )
     return EXIT_OK
@@ -505,9 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exc.set_defaults(func=cmd_exclusion)
 
     p_per = sub.add_parser("period", help="pendulum period")
-    p_per.add_argument("--mass", type=float, default=1.22, help="kg")
+    pendulum = _DEFAULT_CONFIG["pendulum"]
+    p_per.add_argument("--mass", type=float, default=pendulum["mass_kg"], help="kg")
     p_per.add_argument("--length", type=float, default=2.9954, help="m")
-    p_per.add_argument("--gravity", type=float, default=9.80393, help="m/s^2")
+    p_per.add_argument("--gravity", type=float, default=pendulum["gravity_m_s2"], help="m/s^2")
     p_per.add_argument(
         "--amplitude", type=float, required=True, help="displacement amplitude, m"
     )

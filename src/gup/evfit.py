@@ -79,6 +79,13 @@ class MeasurementSeries:
             raise ValueError("measurements and sigmas must be finite")
         if np.any(sx <= 0.0) or np.any(sy <= 0.0):
             raise ValueError("sigmas must be strictly positive")
+        # the fit weighs rows by sigma^2 and 1 / sigma^2: both must be normal floats
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            powers = np.concatenate([sx, sy]) ** 2
+            powers = np.concatenate([powers, 1.0 / powers])
+        if not np.all((powers >= np.finfo(float).tiny) & (powers <= np.finfo(float).max)):
+            raise ValueError("sigmas must lie in about [1.5e-154, 6.7e153], where their "
+                             "squares and reciprocal squares are normal floats")
         for name, arr in (("x", x), ("y", y), ("sigma_x", sx), ("sigma_y", sy)):
             object.__setattr__(self, name, arr)
             arr.flags.writeable = False
@@ -145,15 +152,16 @@ def wls_fit(series: MeasurementSeries) -> LinearFit:
     x, y = series.x, series.y
     w = 1.0 / series.sigma_y**2
     sw = np.sum(w)
-    sx, sy = np.sum(w * x), np.sum(w * y)
-    sxx, sxy = np.sum(w * x * x), np.sum(w * x * y)
-    det = sw * sxx - sx * sx
-    if det <= 0.0:
+    # sums about the weighted means: the raw ones cancel where the weights span decades
+    xm, ym = np.sum(w * x) / sw, np.sum(w * y) / sw
+    dx = x - xm
+    sxx = np.sum(w * dx * dx)
+    if not sxx > 0.0:
         raise DegenerateDataError("weighted design matrix is singular")
-    slope = (sw * sxy - sx * sy) / det
-    intercept = (sxx * sy - sx * sxy) / det
+    slope = np.sum(w * dx * (y - ym)) / sxx
+    intercept = ym - slope * xm
     chi2 = np.sum(w * (y - intercept - slope * x) ** 2)
-    cov = np.array([[sxx, -sx], [-sx, sw]]) / det
+    cov = np.array([[1.0 / sw + xm * xm / sxx, -xm / sxx], [-xm / sxx, 1.0 / sxx]])
     return _finish(slope, intercept, cov, chi2, len(series), "wls")
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "GKState",
     "TruncationError",
     "InvariantCheck",
-    "gegenbauer",
     "build_truncated_operators",
     "choose_dimension",
     "gazeau_klauder_state",
@@ -132,31 +131,6 @@ def _operator_bands(model: OscillatorModel, dimension: int) -> tuple:
     return e, s1, c1 * (s1 + bx1), c1 * bx3, c3 * (bq1 - s1), c3 * bq3
 
 
-def gegenbauer(n: int, order: float, s):
-    """Gegenbauer polynomial C_n^order(s) by the three-term recurrence.
-
-        k C_k = 2 (k + order - 1) s C_{k-1} - (k + 2 order - 2) C_{k-2}
-
-    Accepts scalar or array s; exact for the base cases C_0 = 1 and
-    C_1 = 2 order s.
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if not order > 0.0:
-        raise ValueError("order must be positive")
-    s = np.asarray(s, dtype=float)
-    prev = np.ones_like(s)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 2.0 * order * s
-    for k in range(2, n + 1):
-        cur, prev = (
-            (2.0 * (k + order - 1.0) * s * cur - (k + 2.0 * order - 2.0) * prev) / k,
-            cur,
-        )
-    return cur if cur.ndim else float(cur)
-
-
 @dataclass(frozen=True)
 class TruncatedOperators:
     """Fock-space matrices of the deformed oscillator.
@@ -224,33 +198,32 @@ def _check_j(J: float) -> None:
         raise ValueError("J must be finite and non-negative")
 
 
-def _gk_support(model: OscillatorModel, J: float) -> np.ndarray:
-    """Converged log-term sequence covering the whole GK weight."""
-    if J == 0.0:
-        return np.zeros(1)
-    count = 64
-    while True:
+def _gk_weights(model: OscillatorModel, J: float) -> tuple:
+    """The GK weight table: converged log-terms less their peak, the sum of
+    their weights, and the smallest dimension that keeps the tail mass below
+    1e-12 of that sum out of the buffer levels (at least 8)."""
+    log_terms, count = np.zeros(1), 64
+    while J != 0.0:
         log_terms = _gk_log_terms(model, J, count)
-        peak = np.max(log_terms)
         # converged once the last term is negligible and not increasing
         # (-inf twice where the eigenvalues overflow)
-        if log_terms[-1] < peak - 60.0 and log_terms[-1] <= log_terms[-2]:
-            return log_terms
+        if log_terms[-1] < np.max(log_terms) - 60.0 and log_terms[-1] <= log_terms[-2]:
+            break
         if count > 200_000:
             raise TruncationError("generalized coherent state does not converge")
         count *= 2
+    log_terms = log_terms - np.max(log_terms)
+    weights = np.exp(log_terms)
+    total = np.sum(weights)
+    # the tail mass from each level up never increases: count the levels above the tolerance
+    support = np.count_nonzero(np.cumsum(weights[::-1])[::-1] >= _GK_TAIL_TOLERANCE * total)
+    return log_terms, total, max(int(support) + _LEVEL_BUFFER, 8)
 
 
 def choose_dimension(model: OscillatorModel, J: float) -> int:
     """Smallest truncation with tail mass below 1e-12 plus buffer levels."""
     _check_j(J)
-    log_terms = _gk_support(model, J)
-    weights = np.exp(log_terms - np.max(log_terms))
-    total = np.sum(weights)
-    tail = np.cumsum(weights[::-1])[::-1]
-    small = np.nonzero(tail < _GK_TAIL_TOLERANCE * total)[0]
-    support = int(small[0]) if small.size else len(weights)
-    return max(support + _LEVEL_BUFFER, 8)
+    return _gk_weights(model, J)[2]
 
 
 @dataclass(frozen=True)
@@ -291,46 +264,38 @@ def gazeau_klauder_state(
     the buffer levels or beyond.
     """
     _check_j(J)
-    if dimension is None:
-        dimension = choose_dimension(model, J)
-    if dimension < 8:
+    if dimension is not None and dimension < 8:
         raise ValueError("dimension must be at least 8")
-    log_terms = _gk_support(model, J)
-    peak = np.max(log_terms)
-    weights = np.exp(log_terms - peak)
-    total = np.sum(weights)
-    usable = dimension - _LEVEL_BUFFER
-    if usable < 1 or np.sum(weights[usable:]) > _GK_TAIL_TOLERANCE * total:
+    log_terms, total, smallest = _gk_weights(model, J)
+    if dimension is None:
+        dimension = smallest
+    if dimension < smallest:
         raise TruncationError(
             f"dimension {dimension} leaves more than {_GK_TAIL_TOLERANCE:g} "
             f"of the state's weight in or beyond the top {_LEVEL_BUFFER} levels"
         )
-    count = min(dimension, len(weights))
+    count = min(dimension, len(log_terms))
     e = _level_eigenvalues(model.ladder_deformation, count)
-    magnitudes = np.exp(0.5 * (log_terms[:count] - peak)) / math.sqrt(total)
+    magnitudes = np.exp(0.5 * log_terms[:count]) / math.sqrt(total)
     amplitudes = np.zeros(dimension, dtype=complex)
     amplitudes[:count] = magnitudes * np.exp(-1j * gamma * e)
     amplitudes.flags.writeable = False
     return GKState(model=model, J=float(J), gamma=float(gamma), amplitudes=amplitudes)
 
 
-def evolve_gk(state: GKState, model: OscillatorModel, t: float) -> GKState:
-    """Evolve |J, gamma> for time t under the ladder Hamiltonian.
+def evolve_gk(state: GKState, t: float) -> GKState:
+    """Evolve |J, gamma> for time t under the ladder Hamiltonian of its model.
 
     Multiplies amplitude_n by exp(-i omega t e_n), which coincides
     exactly with re-constructing the state at gamma + omega t; the
     shifted phase is NOT 2 pi periodic in omega t for beta > 0 because
     the e_n are not integer spaced.
     """
+    model = state.model
     e = _level_eigenvalues(model.ladder_deformation, state.dimension)
     amplitudes = state.amplitudes * np.exp(-1j * model.omega * t * e)
     amplitudes.flags.writeable = False
-    return GKState(
-        model=state.model,
-        J=state.J,
-        gamma=state.gamma + model.omega * t,
-        amplitudes=amplitudes,
-    )
+    return replace(state, gamma=state.gamma + model.omega * t, amplitudes=amplitudes)
 
 
 def matrix_expectation(state: GKState, matrix: np.ndarray) -> complex:
@@ -486,10 +451,11 @@ def invariant_checks(
     Yields six records in printing order; the default dimension is sized
     for the beta/2 state.  beta = 0, a bad J, J = 0, a beta that overflows
     the operator bands and one below the float64 resolution of the
-    commutator-scaling check raise ValueError before any record; more
-    than 1024 levels raise TruncationError there, and z = beta m^2 omega^2
-    A^2 of 1 or more dynamics.TrajectoryError.  Records yielded before a
-    later TruncationError stand.  No matrix is formed.
+    commutator-scaling check raise ValueError before any record; a
+    dimension too small for either state or more than 1024 levels raise
+    TruncationError there, and z = beta m^2 omega^2 A^2 of 1 or more
+    dynamics.TrajectoryError.  Only the hbar->0 ODE can fail after a record.
+    No matrix is formed.
     """
     if model.beta == 0.0:
         raise ValueError(
@@ -501,18 +467,21 @@ def invariant_checks(
     # built here so that its scale check refuses before any record
     classical = replace(model, hbar=model.hbar * 1e-6)
     nu = model.ladder_deformation
+    times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
     # overflowed levels are refused below, by name, instead of warned about
     with np.errstate(over="ignore", invalid="ignore"):
         # the beta/2 state needs at least as many levels as the beta state
-        dim = choose_dimension(half, J) if dimension is None else dimension
-        bands = _operator_bands(model, dim)
+        v_half = gazeau_klauder_state(half, J, 0.0, dimension).amplitudes
+        dim = v_half.size
+        state = gazeau_klauder_state(model, J, 0.0, dim)
+        h_exp, x_full = _band_expectations(model, state.amplitudes, times)
+        x_half = _band_expectations(half, v_half, times)[1]
         residuals, roundoff = _commutator_residuals(model, dim)
-    if not all(np.isfinite(b).all() for b in (*bands, residuals, roundoff)):
+    if not all(np.isfinite(v).all() for v in (h_exp, x_full, x_half, residuals, roundoff)):
         raise ValueError(
             f"beta = {model.beta:g} (nu = {nu:.3g}) overflows float64 in the operator "
             f"bands or their products at {dim} Fock levels"
         )
-    state = gazeau_klauder_state(model, J, 0.0, dim)
     # past 1 - 10^-0.1 of a residual, rounding could move the slope by 0.1
     if np.any(roundoff >= (1.0 - 10.0**-0.1) * residuals):
         raise ValueError(
@@ -536,15 +505,13 @@ def invariant_checks(
     )
 
     t_probe = 2.345 / model.omega
-    evolved = evolve_gk(state, model, t_probe)
+    evolved = evolve_gk(state, t_probe)
     rebuilt = gazeau_klauder_state(model, J, model.omega * t_probe, dim)
     drift = float(np.max(np.abs(evolved.amplitudes - rebuilt.amplitudes)))
     yield InvariantCheck(
         "temporal stability", drift < 1e-12, drift, f"drift={drift:.3e} tol=1e-12"
     )
 
-    times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
-    h_exp, x_full = _band_expectations(model, state.amplitudes, times)
     h_ref = model.hbar * model.omega * J
     h_err = abs(h_exp - h_ref) / h_ref if h_ref else abs(h_exp)
     yield InvariantCheck(
@@ -561,8 +528,6 @@ def invariant_checks(
     )
 
     dev_full = float(np.max(np.abs(x_full - trajectory_x_closed_form(model, amplitude, times))))
-    v_half = gazeau_klauder_state(half, J, 0.0, dim).amplitudes
-    x_half = _band_expectations(half, v_half, times)[1]
     dev_half = float(np.max(np.abs(x_half - trajectory_x_closed_form(half, amplitude, times))))
     ratio = dev_full / dev_half if dev_half else math.inf
     yield InvariantCheck(

@@ -244,7 +244,7 @@ def test_criterion_8_quantum_classical_equivalence():
         model = OscillatorModel(mass=1.0, omega=1.0, hbar=1.0, beta=b)
         state = gazeau_klauder_state(model, J, 0.0, dim)
         ops = build_truncated_operators(model, dim)
-        evolved = evolve_gk(state, model, t_probe)
+        evolved = evolve_gk(state, t_probe)
         x_matrix = matrix_expectation(evolved, ops.x).real
         x_closed, _ = expectation_xp_closed_form(model, J, t_probe)
         residuals.append(abs(x_matrix - x_closed))
@@ -265,7 +265,7 @@ def test_criterion_9_algebra_invariants():
     norm_deficit = abs(1.0 - state.norm**2)
 
     t_probe = 1.7
-    evolved = evolve_gk(state, model, t_probe)
+    evolved = evolve_gk(state, t_probe)
     rebuilt = gazeau_klauder_state(
         model, J, 0.3 + model.omega * t_probe, state.dimension
     )

@@ -78,6 +78,20 @@ class TestFit:
         code, _, _ = run(capsys, "fit", str(path))
         assert code == 0
 
+    def test_sigma_past_the_normal_range_refused(self, capsys, in_tmp):
+        # 1e-200 s squares to a subnormal 1e-400: refused, not warned about
+        (in_tmp / "tiny_sigma.csv").write_text(
+            "amplitude_sq_cm2,period_s,sigma_amp_sq_cm2,sigma_period_s\n"
+            "100,3.4735,50,1e-200\n200,3.4738,50,1e-4\n400,3.4742,50,1e-4\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "fit", "tiny_sigma.csv")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gup: error: tiny_sigma.csv: sigmas must lie in about")
+        assert err.count("\n") == 1
+
     def test_zero_slope_dataset_bounds_ratio_by_coefficient_quotient(
         self, capsys, in_tmp
     ):
@@ -186,6 +200,19 @@ class TestDatasetParsing:
 
 
 class TestConfig:
+    def test_numeric_keys_are_the_float_defaults(self):
+        assert cli._CONFIG_NUMERIC == {
+            "pendulum.mass_kg", "pendulum.gravity_m_s2", "fit.confidence_level",
+            "fit.sigma_amplitude_sq_m2", "fit.sigma_period_s", "grid.beta0_min",
+            "grid.beta0_max",
+        }
+
+    def test_period_defaults_are_the_config_pendulum(self, monkeypatch):
+        monkeypatch.delenv("GUP_CONFIG", raising=False)
+        args = cli.build_parser().parse_args(["period", "--amplitude", "0.1"])
+        pendulum = cli.load_config(None)["pendulum"]
+        assert (args.mass, args.gravity) == (pendulum["mass_kg"], pendulum["gravity_m_s2"])
+
     def test_defaults_without_file(self, monkeypatch):
         monkeypatch.delenv("GUP_CONFIG", raising=False)
         config = cli.load_config(None)
@@ -459,6 +486,20 @@ class TestPeriod:
         assert disp0 == pytest.approx(0.2, rel=1e-10)
         assert angle0 == pytest.approx(math.asin(0.2 / 2.9954), rel=1e-10)
 
+    @pytest.mark.parametrize("method", [(), ("--exact",), ("--first-order",)])
+    def test_csv_without_trajectory_refused(self, capsys, in_tmp, monkeypatch, method):
+        # refused before anything is computed, and no file is written
+        monkeypatch.setattr(cli.dynamics, "period_exact_quadrature", None)
+        monkeypatch.setattr(cli.dynamics, "period_first_order", None)
+        code, out, err = run(
+            capsys, "period", "--amplitude", "0.2", *method, "--out-csv", "swing.csv"
+        )
+        assert code == 1
+        assert out == ""
+        name = method[0] if method else "--exact"
+        assert err == f"gup: error: --out-csv needs --trajectory: {name} computes no samples\n"
+        assert list(in_tmp.iterdir()) == []
+
     def test_exact_rejects_zero_amplitude(self, capsys):
         code, _, err = run(capsys, "period", "--amplitude", "0")
         assert code == 1
@@ -511,6 +552,33 @@ class TestQuantumCheck:
         code, _, _ = run(capsys, "quantum-check")
         assert code == 0
         assert calls == []
+
+    def test_dimension_too_small_for_half_beta_refused_before_any_check(self, capsys):
+        code, out, err = run(
+            capsys, "quantum-check", "--beta", "5.565862708719852e-07", "--j", "107.8",
+            "--dimension", "193",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "gup: numerical failure: dimension 193 leaves more than 1e-12 of the "
+            "state's weight in or beyond the top 4 levels\n"
+        )
+
+    def test_builds_three_gk_weight_tables(self, capsys, monkeypatch):
+        # the beta/2 state, the beta state and the rebuilt state of the
+        # temporal-stability check; the space is sized from the first
+        tables = []
+        original = oscillator._gk_weights
+
+        def counting(model, J):
+            tables.append((model.beta, J))
+            return original(model, J)
+
+        monkeypatch.setattr(oscillator, "_gk_weights", counting)
+        code, _, _ = run(capsys, "quantum-check")
+        assert code == 0
+        assert tables == [(2.5e-6, 4.0), (5e-6, 4.0), (5e-6, 4.0)]
 
     def test_zero_beta_refused_before_any_check(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -650,6 +718,24 @@ class TestScenarios:
         assert code == 0
         assert "bench" in out
         assert "macroscopic pendulum" not in out
+
+
+    def test_line_breaks_in_labels_stay_on_one_row(self, capsys, in_tmp):
+        labels = ["two\nlines", "crlf\r\nend", "page\x0cfeed", "para\u2029graph", "plain label"]
+        shown = ["two\\nlines", "crlf\\r\\nend", "page\\x0cfeed", "para\\u2029graph",
+                 "plain label"]
+        (in_tmp / "reg.json").write_text(json.dumps({"version": 1, "scenarios": [
+            {"kind": "oscillator-frequency", "label": label, "n_particles": 1e12,
+             "parameters": {"ratio_upper": 1e3}}
+            for label in labels
+        ]}))
+        (in_tmp / "conf.json").write_text(json.dumps({"scenarios": "reg.json"}))
+        for argv in (("scenarios", "list"), ("exclusion",)):
+            code, out, _ = run(capsys, *argv, "--config", "conf.json")
+            assert code == 0
+            rows = out.splitlines()
+            assert len(rows) == len(labels)
+            assert [row[:38].rstrip() for row in rows] == shown
 
 
 class TestImports:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import warnings
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -60,13 +63,44 @@ class TestMeasurementSeries:
         with pytest.raises(ValueError):
             MeasurementSeries(sigma_x=0.1, sigma_y=0.1, **bad)
 
-    @pytest.mark.parametrize("sx,sy", [(0.0, 0.1), (0.1, -0.1), (np.inf, 0.1)])
+    @pytest.mark.parametrize("sx,sy", [
+        (0.0, 0.1), (0.1, -0.1), (np.inf, 0.1),
+        # sigma^2 or 1 / sigma^2 overflows, underflows or is subnormal
+        (1e200, 0.1), (0.1, 1e-200), (1e154, 0.1), (0.1, 1e-154), (7e153, 0.1), (0.1, 1.4e-154),
+    ])
     def test_rejects_bad_sigmas(self, sx, sy):
-        with pytest.raises(ValueError):
-            MeasurementSeries(x=[1.0, 2.0], y=[1.0, 2.0], sigma_x=sx, sigma_y=sy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                MeasurementSeries(x=[1.0, 2.0], y=[1.0, 2.0], sigma_x=sx, sigma_y=sy)
+
+    @pytest.mark.parametrize("sigma", [6.6e153, 1.5e-154, 1e-100, 1e100])
+    def test_accepts_sigmas_inside_the_normal_range(self, sigma):
+        s = MeasurementSeries(x=[1.0, 2.0], y=[1.0, 2.0], sigma_x=sigma, sigma_y=sigma)
+        assert s.sigma_x[0] == s.sigma_y[0] == sigma
 
 
 class TestWls:
+    def test_weights_spanning_decades_are_not_degenerate(self):
+        # the raw determinant sw sxx - sx^2 cancels to 0.0 here; about the
+        # weighted mean of x it is 5.2e4
+        s = MeasurementSeries(x=[1.0625, -1.0651, 1.1948], y=[0.3, -0.2, 0.5],
+                              sigma_x=1.0, sigma_y=[1.51e5, 6.42e3, 1.54e-6])
+        fit = wls_fit(s)
+        # the normal equations in exact rational arithmetic
+        w = [1 / Fraction(v) ** 2 for v in s.sigma_y.tolist()]
+        x, y = [Fraction(v) for v in s.x.tolist()], [Fraction(v) for v in s.y.tolist()]
+        sw, sx, sy = sum(w), sum(map(mul, w, x)), sum(map(mul, w, y))
+        sxx, sxy = sum(map(mul, w, map(mul, x, x))), sum(map(mul, w, map(mul, x, y)))
+        det = sw * sxx - sx * sx
+        assert fit.slope == pytest.approx(float((sw * sxy - sx * sy) / det), rel=1e-12)
+        assert fit.intercept == pytest.approx(float((sxx * sy - sx * sxy) / det), rel=1e-12)
+        np.testing.assert_allclose(
+            fit.covariance, np.array([[sxx, -sx], [-sx, sw]], dtype=float) / float(det),
+            rtol=1e-12,
+        )
+        assert odr_fit(s).chi2 >= 0.0
+
     def test_exact_line_is_recovered(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         s = MeasurementSeries(x=x, y=2.0 + 0.5 * x, sigma_x=0.1, sigma_y=0.3)
@@ -333,11 +367,11 @@ class TestGlobalMinimum:
         self.check_global(timing_shaped_series(rows, per_row_sigmas=True))
 
     def test_sigma_ratio_past_float_range_raises(self):
-        # sigma_y / sigma_x underflows to 0 for one row: no pole height to grade by
-        s = MeasurementSeries(x=[0.0, 1.0, 2.0, 3.0], y=[0.0, 1.0, 2.0, 2.5],
+        # sigma_y / sigma_x would underflow to 0 for one row, leaving no pole
+        # height to grade by; the series refuses these sigmas before any fit
+        with pytest.raises(ValueError, match="normal floats"):
+            MeasurementSeries(x=[0.0, 1.0, 2.0, 3.0], y=[0.0, 1.0, 2.0, 2.5],
                               sigma_x=[1e300, 1.0, 1.0, 1.0], sigma_y=[1e-300, 1.0, 1.0, 1.0])
-        with np.errstate(all="ignore"), pytest.raises(FitConvergenceError):
-            odr_fit(s)
 
     def test_unresolved_profile_raises(self, monkeypatch):
         # per-row sigma ratios need more than the one piece allowed here

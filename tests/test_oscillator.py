@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import eval_gegenbauer, gammaln
+from scipy.special import gammaln
 
 from gup import oscillator
 from gup.oscillator import (
@@ -19,7 +19,6 @@ from gup.oscillator import (
     evolve_gk,
     expectation_xp_closed_form,
     gazeau_klauder_state,
-    gegenbauer,
     invariant_checks,
     matrix_expectation,
     trajectory_x_closed_form,
@@ -88,48 +87,6 @@ class TestSpectrum:
                     oscillator._gk_log_terms(model, J, count),
                     gk_log_terms_loop(model, J, count),
                 ), (beta, J, count)
-
-
-class TestGegenbauer:
-    def test_base_cases(self):
-        assert gegenbauer(0, 1.5, 0.3) == 1.0
-        assert gegenbauer(1, 1.5, 0.3) == pytest.approx(2.0 * 1.5 * 0.3, rel=1e-15)
-
-    def test_degree_two_closed_form(self):
-        lam, s = 2.25, -0.4
-        expected = 2.0 * lam * (lam + 1.0) * s * s - lam
-        assert gegenbauer(2, lam, s) == pytest.approx(expected, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13])
-    @pytest.mark.parametrize("lam", [0.7, 1.5, 4.25])
-    def test_matches_scipy(self, n, lam):
-        s = np.linspace(-0.95, 0.95, 9)
-        np.testing.assert_allclose(
-            gegenbauer(n, lam, s), eval_gegenbauer(n, lam, s), rtol=1e-10, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 7])
-    def test_derivative_identity(self, n):
-        # d/ds C_n^lam = 2 lam C_{n-1}^{lam+1}
-        lam, s = 1.8, np.linspace(-0.9, 0.9, 7)
-        h = 1e-6
-        numeric = (gegenbauer(n, lam, s + h) - gegenbauer(n, lam, s - h)) / (2.0 * h)
-        np.testing.assert_allclose(
-            numeric, 2.0 * lam * gegenbauer(n - 1, lam + 1.0, s), rtol=1e-8, atol=1e-8
-        )
-
-    def test_parity(self):
-        s = 0.37
-        for n in range(6):
-            assert gegenbauer(n, 2.0, -s) == pytest.approx(
-                (-1.0) ** n * gegenbauer(n, 2.0, s), rel=1e-13
-            )
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            gegenbauer(-1, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            gegenbauer(2, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +234,7 @@ class TestGKStates:
 
     def test_temporal_stability(self, gk_model):
         J, gamma, t = 4.0, 0.3, 1.7
-        evolved = evolve_gk(gazeau_klauder_state(gk_model, J, gamma), gk_model, t)
+        evolved = evolve_gk(gazeau_klauder_state(gk_model, J, gamma), t)
         rebuilt = gazeau_klauder_state(gk_model, J, gamma + gk_model.omega * t)
         np.testing.assert_allclose(evolved.amplitudes, rebuilt.amplitudes, rtol=0, atol=1e-15)
         assert evolved.gamma == pytest.approx(rebuilt.gamma, rel=1e-15)
@@ -313,6 +270,23 @@ class TestGKStates:
     def test_choose_dimension_grows_with_action(self, gk_model):
         assert choose_dimension(gk_model, 1.0) < choose_dimension(gk_model, 40.0)
         assert choose_dimension(gk_model, 0.0) >= 8
+
+    def test_choose_dimension_is_smallest_accepted(self):
+        # the default size and the truncation check read one weight table
+        rng = np.random.default_rng(20261019)
+        above_floor = 0
+        for _ in range(40):
+            model = model_units(beta=10.0 ** rng.uniform(-9.0, -1.0))
+            J = 10.0 ** rng.uniform(-1.0, 2.5)
+            dim = choose_dimension(model, J)
+            assert type(dim) is int
+            assert gazeau_klauder_state(model, J, 0.0).dimension == dim
+            assert gazeau_klauder_state(model, J, 0.0, dim).dimension == dim
+            if dim > 8:
+                above_floor += 1
+                with pytest.raises(TruncationError):
+                    gazeau_klauder_state(model, J, 0.0, dim - 1)
+        assert above_floor > 30
 
     def test_truncation_error_when_too_small(self, gk_model):
         with pytest.raises(TruncationError):
@@ -379,7 +353,7 @@ class TestClosedForms:
         state = gazeau_klauder_state(model, J, 0.0, dimension=48)
         ops = build_truncated_operators(model, 48)
         for t in (0.3, 1.1):
-            evolved = evolve_gk(state, model, t)
+            evolved = evolve_gk(state, t)
             x_matrix = matrix_expectation(evolved, ops.x).real
             x_closed, _ = expectation_xp_closed_form(model, J, model.omega * t)
             assert x_matrix == pytest.approx(x_closed, abs=5e-8 * math.sqrt(2.0 * J))
@@ -392,7 +366,7 @@ class TestClosedForms:
             model = model_units(beta=beta)
             state = gazeau_klauder_state(model, J, 0.0, dimension=48)
             ops = build_truncated_operators(model, 48)
-            evolved = evolve_gk(state, model, t)
+            evolved = evolve_gk(state, t)
             x_matrix = matrix_expectation(evolved, ops.x).real
             x_closed, _ = expectation_xp_closed_form(model, J, model.omega * t)
             residuals.append(abs(x_matrix - x_closed))
@@ -513,4 +487,14 @@ class TestInvariantChecks:
     def test_undersized_dimension_raises(self):
         checks = invariant_checks(model_units(beta=5e-6), 30.0, dimension=12)
         with pytest.raises(TruncationError):
+            next(checks)
+
+    def test_dimension_too_small_for_half_beta_refused_before_any_record(self):
+        # 193 levels hold the beta state but not the beta/2 state of the
+        # closed-form check
+        model, J = model_units(beta=5.565862708719852e-07), 107.8
+        half = replace(model, beta=0.5 * model.beta)
+        assert choose_dimension(model, J) <= 193 < choose_dimension(half, J)
+        checks = invariant_checks(model, J, dimension=193)
+        with pytest.raises(TruncationError, match="dimension 193 leaves"):
             next(checks)
