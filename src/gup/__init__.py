@@ -33,7 +33,6 @@ from .constants import (
 from .dynamics import (
     DeformationParams,
     PendulumConfig,
-    TrajectorySample,
     integrate_oscillator_trajectory,
     integrate_trajectory,
     momentum_remap,

@@ -44,6 +44,7 @@ __all__ = [
     "levitation_ratio_bound",
     "load_scenarios",
     "resolve_scenario",
+    "json_number",
 ]
 
 class ScenarioError(ValueError):
@@ -85,8 +86,8 @@ class ExperimentScenario:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         if self.style not in ("solid", "dashed", "none"):
             raise ScenarioError(f"unknown plot style {self.style!r}")
-        if self.n_particles is not None and not self.n_particles >= 1.0:
-            raise ScenarioError("n_particles must be at least 1 when given")
+        if self.n_particles is not None and not 1.0 <= self.n_particles < math.inf:
+            raise ScenarioError("n_particles must be finite and at least 1 when given")
 
 
 @dataclass(frozen=True)
@@ -169,10 +170,10 @@ def alpha_bound(upper: float, n_particles: float, beta0: float = 1.0) -> float:
 
 
 def _check_leverage(upper: float, n_particles: float) -> None:
-    if upper <= 0.0:
-        raise ValueError("ratio upper bound must be positive")
-    if n_particles <= 1.0:
-        raise ValueError("n_particles must exceed 1 for suppression leverage")
+    if not 0.0 < upper < math.inf:
+        raise ValueError("ratio upper bound must be positive and finite")
+    if not 1.0 < n_particles < math.inf:
+        raise ValueError("n_particles must exceed 1 and be finite for suppression leverage")
 
 
 def beta0_log_grid(
@@ -264,6 +265,28 @@ _REQUIRED_KEYS = {"kind", "label", "parameters"}
 _OPTIONAL_KEYS = {"n_particles", "style", "inferred", "reference"}
 
 
+def json_number(value: Any) -> "float | None":
+    """A JSON number as a float, +-inf past float range; None if it is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # JSON allows integers float() cannot convert
+        return math.inf if value > 0 else -math.inf
+
+
+# the JSON type of each field, checked before a use of it could raise a TypeError
+_FIELD_TYPES = {
+    "kind": ("a string", lambda v: isinstance(v, str)),
+    "parameters": ("an object", lambda v: isinstance(v, dict)),
+    "n_particles": ("a number or null", lambda v: v is None or json_number(v) is not None),
+    "inferred": ("an array of strings",
+                 lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v)),
+    "reference": ("an object of numbers",
+                  lambda v: isinstance(v, dict) and None not in map(json_number, v.values())),
+}
+
+
 def _scenario_from_record(index: int, record: Any) -> ExperimentScenario:
     if not isinstance(record, dict):
         raise ScenarioError(f"scenario #{index} is not an object")
@@ -278,16 +301,15 @@ def _scenario_from_record(index: int, record: Any) -> ExperimentScenario:
         raise ScenarioError(
             f"scenario #{index} has unknown keys: {', '.join(sorted(unknown))}"
         )
-    params = record["parameters"]
-    if not isinstance(params, dict):
-        raise ScenarioError(f"scenario #{index}: parameters must be an object")
-    n_particles = record.get("n_particles")
+    for key, (expected, valid) in _FIELD_TYPES.items():
+        if key in record and not valid(record[key]):
+            raise ScenarioError(f"scenario #{index}: {key} must be {expected}")
     try:
         return ExperimentScenario(
             kind=record["kind"],
             label=str(record["label"]),
-            n_particles=None if n_particles is None else float(n_particles),
-            parameters=dict(params),
+            n_particles=json_number(record.get("n_particles")),
+            parameters=dict(record["parameters"]),
             style=record.get("style", "solid"),
             inferred=tuple(record.get("inferred", ())),
             reference=dict(record.get("reference", {})),
@@ -341,33 +363,43 @@ def _pendulum_fit(scenario: ExperimentScenario, fit_bound: RatioBound | None):
     return fit_bound.upper, _registered_count(scenario)
 
 
-def _levitation(scenario: ExperimentScenario, fit_bound: RatioBound | None):
-    p = scenario.parameters
-    try:
-        mass = sphere_mass(p["density_kg_m3"], p["radius_m"])
-        omega = levitation_frequency(
-            p["density_kg_m3"], p["susceptibility"], p["field_gradient_T_m"]
-        )
-        bound = levitation_ratio_bound(
-            mass,
-            omega,
-            p["amplitude_m"],
-            damping=p.get("damping_hz", 0.0),
-            n_measurements=int(p.get("n_measurements", 1)),
-            delta_omega_override=p.get("delta_omega_override_hz"),
-        )
-    except KeyError as exc:
+def _parameter(scenario: ExperimentScenario, key: str, *default):
+    """Parameter key as a finite float; where it is absent or null, the default if given."""
+    value = scenario.parameters.get(key)
+    if value is None:
+        if not default:
+            raise ScenarioError(f"scenario {scenario.label!r} lacks {key!r}")
+        return default[0]
+    number = json_number(value)
+    if number is None or not math.isfinite(number):
         raise ScenarioError(
-            f"scenario {scenario.label!r} lacks parameter {exc.args[0]!r}"
-        ) from None
+            f"scenario {scenario.label!r}: {key!r} must be a finite number, got {value!r}"
+        )
+    return number
+
+
+def _levitation(scenario: ExperimentScenario, fit_bound: RatioBound | None):
+    density = _parameter(scenario, "density_kg_m3")
+    mass = sphere_mass(density, _parameter(scenario, "radius_m"))
+    omega = levitation_frequency(
+        density,
+        _parameter(scenario, "susceptibility"),
+        _parameter(scenario, "field_gradient_T_m"),
+    )
+    bound = levitation_ratio_bound(
+        mass,
+        omega,
+        _parameter(scenario, "amplitude_m"),
+        damping=_parameter(scenario, "damping_hz", 0.0),
+        n_measurements=int(_parameter(scenario, "n_measurements", 1)),
+        delta_omega_override=_parameter(scenario, "delta_omega_override_hz", None),
+    )
     n = scenario.n_particles
     return bound.upper, nucleon_count(mass) if n is None else n
 
 
 def _registered(scenario: ExperimentScenario, fit_bound: RatioBound | None):
-    if "ratio_upper" not in scenario.parameters:
-        raise ScenarioError(f"scenario {scenario.label!r} lacks 'ratio_upper'")
-    return float(scenario.parameters["ratio_upper"]), _registered_count(scenario)
+    return _parameter(scenario, "ratio_upper"), _registered_count(scenario)
 
 
 # kind -> resolver (scenario, fit_bound) -> (B, N); the keys are the

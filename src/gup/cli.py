@@ -111,19 +111,16 @@ def load_config(path: "str | None") -> dict:
             if key not in merged[section]:
                 raise ConfigError(f"config: unknown key {dotted!r}")
             if dotted in _CONFIG_NUMERIC:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                number = bounds.json_number(value)  # JSON allows NaN and Infinity
+                if number is None:
                     raise ConfigError(f"config: key {dotted!r} must be a number")
-                if value <= 0.0:
+                if number <= 0.0:
                     raise ConfigError(f"config: key {dotted!r} must be positive")
-                if dotted == "fit.confidence_level" and not value < 1.0:
+                if dotted == "fit.confidence_level" and not number < 1.0:
                     raise ConfigError(
                         "config: key 'fit.confidence_level' must be below 1"
                     )
-                try:  # JSON allows NaN, Infinity and integers past float range
-                    finite = math.isfinite(float(value))
-                except OverflowError:
-                    finite = False
-                if not finite:
+                if not math.isfinite(number):
                     raise ConfigError(f"config: key {dotted!r} must be finite")
             elif dotted == "grid.points":
                 if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -396,45 +393,33 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
 def cmd_period(args: argparse.Namespace) -> int:
     if args.out_csv and args.method != "trajectory":
         raise ValueError(f"--out-csv needs --trajectory: --{args.method} computes no samples")
-    pend = dynamics.PendulumConfig(
-        mass=args.mass, length=args.length, gravity=args.gravity
-    )
+    pend = dynamics.PendulumConfig(mass=args.mass, length=args.length, gravity=args.gravity)
     params = dynamics.DeformationParams(
         beta0=args.beta0, alpha=args.alpha, n_particles=args.n_particles
     )
     if args.amplitude < 0.0 or args.amplitude >= pend.length:
-        raise DatasetError("amplitude must lie in [0, length)")
+        raise ValueError("amplitude must lie in [0, length)")
+    heading = f"method={args.method} amplitude_m={args.amplitude:.12g}"
     if args.method == "first-order":
         period = dynamics.period_first_order(pend, params, args.amplitude)
-        print(f"method=first-order amplitude_m={args.amplitude:.12g}")
-        print(f"period_s={period:.12g}")
-        return EXIT_OK
-    if args.amplitude == 0.0:
-        raise DatasetError(f"--{args.method} needs a positive amplitude")
-    phi = math.asin(args.amplitude / pend.length)
-    if args.method == "exact":
-        period = dynamics.period_exact_quadrature(pend, params, phi, args.rel_tol)
-        print(
-            f"method=exact amplitude_m={args.amplitude:.12g} "
-            f"angle_rad={phi:.12g} rel_tol={args.rel_tol:g}"
-        )
-        print(f"period_s={period:.12g}")
-        return EXIT_OK
-    period = dynamics.trajectory_period(pend, params, phi, args.rel_tol)
-    print(
-        f"method=trajectory amplitude_m={args.amplitude:.12g} "
-        f"angle_rad={phi:.12g} rel_tol={args.rel_tol:g}"
-    )
+    else:
+        if args.amplitude == 0.0:
+            raise ValueError(f"--{args.method} needs a positive amplitude")
+        phi = math.asin(args.amplitude / pend.length)
+        heading += f" angle_rad={phi:.12g} rel_tol={args.rel_tol:g}"
+        if args.method == "exact":
+            period = dynamics.period_exact_quadrature(pend, params, phi, args.rel_tol)
+        else:
+            period = dynamics.trajectory_period(pend, params, phi, args.rel_tol)
+    print(heading)
     print(f"period_s={period:.12g}")
     if args.out_csv:
         samples = dynamics.integrate_trajectory(
             pend, params, phi, 2.0 * period, rel_tol=args.rel_tol
         )
-        lines = ["time_s,angle_rad,displacement_m"]
-        for s in samples:
-            lines.append(f"{s.time:.12g},{s.angle:.12g},{s.displacement:.12g}")
         with open(args.out_csv, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write("time_s,angle_rad,displacement_m\n")
+            handle.write(svgplot.format_rows("%.12g,%.12g,%.12g\n", *samples.T.tolist()))
         print(f"trajectory written to {args.out_csv}")
     return EXIT_OK
 
@@ -564,15 +549,12 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return args.func(args)
     # ConfigError, DatasetError and ScenarioError are ValueErrors
-    except (ValueError, evfit.DegenerateDataError) as exc:
+    except (ValueError, evfit.DegenerateDataError, OSError) as exc:
         print(f"gup: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _NUMERIC_FAILURES as exc:
         print(f"gup: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"gup: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from .constants import PLANCK_MOMENTUM_SQ
 __all__ = [
     "DeformationParams",
     "PendulumConfig",
-    "TrajectorySample",
     "QuadratureError",
     "TrajectoryError",
     "momentum_remap",
@@ -138,27 +137,13 @@ class PendulumConfig:
         return 2.0 * math.pi * math.sqrt(self.length / self.gravity)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One point of an integrated swing.
-
-    displacement is the horizontal bob coordinate L sin(angle).
-    """
-
-    time: float
-    angle: float
-    displacement: float
-
-
 def momentum_remap(momentum, beta: float):
     """Canonical momentum arctan(sqrt(beta) p) / sqrt(beta).
 
     Bounded by pi / (2 sqrt(beta)) for beta > 0 and reduces to the
     identity at beta = 0.  Accepts scalars or arrays.
     """
-    beta = float(beta)
-    if not (beta >= 0.0 and math.isfinite(beta)):
-        raise ValueError("beta must be finite and non-negative")
+    beta = _as_beta(beta)
     p = np.asarray(momentum, dtype=float)
     if beta == 0.0:
         out = p.copy()
@@ -171,11 +156,18 @@ def momentum_remap(momentum, beta: float):
 # --- periods ---------------------------------------------------------------
 
 
-def _check_angular_amplitude(phi: float) -> float:
+def _check_swing(
+    deformation: "float | DeformationParams", phi: float, rel_tol: float
+) -> tuple[float, float, float]:
+    """SI beta, angular amplitude and rel_tol of a swing, each checked."""
+    beta = _as_beta(deformation)
     phi = float(phi)
     if not (0.0 < phi < 0.5 * math.pi):
         raise ValueError("angular amplitude must lie in (0, pi/2)")
-    return phi
+    rel_tol = float(rel_tol)
+    if not (1e-14 < rel_tol < 1e-3):
+        raise ValueError("rel_tol must lie in (1e-14, 1e-3)")
+    return beta, phi, rel_tol
 
 
 def period_first_order(
@@ -216,13 +208,6 @@ def _quad_smooth(func, lo: float, hi: float, rel_tol: float) -> float:
             f"relative tolerance {rel_tol:.2e}"
         )
     return value
-
-
-def _check_rel_tol(rel_tol: float) -> float:
-    rel_tol = float(rel_tol)
-    if not (1e-14 < rel_tol < 1e-3):
-        raise ValueError("rel_tol must lie in (1e-14, 1e-3)")
-    return rel_tol
 
 
 def _split_period(
@@ -285,9 +270,7 @@ def period_exact_quadrature(
     analytically, so the two remaining integrands are smooth and the
     requested relative tolerance is met directly.
     """
-    beta = _as_beta(deformation)
-    phi = _check_angular_amplitude(angular_amplitude)
-    rel_tol = _check_rel_tol(rel_tol)
+    beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     return _split_period(pend, beta, phi, rel_tol, linearized=False)
 
 
@@ -303,9 +286,7 @@ def period_beta_linearized(
     first-order treatment misses; the difference between the two scales
     with the square of the deformation strength.
     """
-    beta = _as_beta(deformation)
-    phi = _check_angular_amplitude(angular_amplitude)
-    rel_tol = _check_rel_tol(rel_tol)
+    beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     return _split_period(pend, beta, phi, rel_tol, linearized=True)
 
 
@@ -386,22 +367,21 @@ def integrate_trajectory(
     t_end: float,
     rel_tol: float = 1e-10,
     times: "Sequence[float] | None" = None,
-) -> list[TrajectorySample]:
-    """Integrate a swing released from rest at the angular amplitude.
+) -> np.ndarray:
+    """Integrate a swing released from rest at theta = +phi.
 
-    The bob starts at theta = +phi.  Hamilton's equations are integrated
-    in the canonical pair (x, ptilde), whose flow is smooth through the
-    turning points, in a single high-order solve; the dense output is
-    sampled as theta = asin(x / L).  Unless explicit times are given,
-    samples lie on a uniform grid of 256 per period_exact_quadrature
-    period (at least 64); they are monotone in time either way.
+    Returns a read-only (n, 3) float64 array of (time, angle, displacement)
+    rows, displacement being the bob's horizontal coordinate L sin(angle).
+    Hamilton's equations are integrated in the canonical pair (x, ptilde),
+    smooth through the turning points, in one high-order solve whose dense
+    output gives theta = asin(x / L).  Unless explicit times are given, rows
+    lie on a uniform grid of 256 per period_exact_quadrature period (at
+    least 64); they are monotone in time either way.
     """
-    beta = _as_beta(deformation)
-    phi = _check_angular_amplitude(angular_amplitude)
+    beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     t_end = float(t_end)
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    rel_tol = _check_rel_tol(rel_tol)
 
     if times is None:
         period = period_exact_quadrature(pend, beta, phi)
@@ -416,10 +396,9 @@ def integrate_trajectory(
     sol = _solve_swing(pend, beta, phi, t_end, rel_tol, dense_output=True)
     displacements = sol.sol(grid)[0]
     angles = np.arcsin(displacements / pend.length)
-    return [
-        TrajectorySample(float(t), float(a), float(x))
-        for t, a, x in zip(grid, angles, displacements)
-    ]
+    samples = np.column_stack((grid, angles, displacements))
+    samples.flags.writeable = False
+    return samples
 
 
 def trajectory_period(
@@ -435,9 +414,7 @@ def trajectory_period(
     zero crossings, which the solver locates by root finding on its
     dense output.
     """
-    beta = _as_beta(deformation)
-    phi = _check_angular_amplitude(angular_amplitude)
-    rel_tol = _check_rel_tol(rel_tol)
+    beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     period = period_exact_quadrature(pend, beta, phi)
     crossings = _solve_swing(pend, beta, phi, 2.8 * period, rel_tol).t_events[0]
     if len(crossings) < 3:

@@ -279,9 +279,21 @@ def odr_fit(series: MeasurementSeries) -> LinearFit:
 
     Profiles out the per-point true abscissae and the intercept, polishes every
     stationary point of the slope profile (_stationary_slopes) by Newton
-    iteration and keeps the lowest minimum: the global one.
+    iteration and keeps the lowest minimum: the global one.  Both axes are
+    fitted in one power-of-two rescaling that centres the sigmas' binary
+    exponents on 0: exact, so the fit does not depend on the units, and the
+    profile's sigma^4 w^3 terms stay in float range at any scale.
     """
-    start = wls_fit(series)  # also refuses data that cannot constrain a line
+    _require_fittable(series)
+    low = math.frexp(min(series.sigma_x.min(), series.sigma_y.min()))[1]
+    high = math.frexp(max(series.sigma_x.max(), series.sigma_y.max()))[1]
+    scale = math.ldexp(1.0, -((low + high) // 2))
+    # the scaled arrays are not validated again: a power of two changes no digit
+    scaled = object.__new__(MeasurementSeries)
+    for name in ("x", "y", "sigma_x", "sigma_y"):
+        object.__setattr__(scaled, name, getattr(series, name) * scale)
+    series = scaled
+    start = wls_fit(series)
     minima = []
     for b in _stationary_slopes(series, start.intercept, start.slope):
         step = math.inf
@@ -306,7 +318,8 @@ def odr_fit(series: MeasurementSeries) -> LinearFit:
     if det <= 0.0 or haa <= 0.0:
         raise FitConvergenceError("objective Hessian is not positive definite")
     cov = (2.0 / det) * np.array([[hbb, -hab], [-hab, haa]])
-    return _finish(slope, intercept, cov, chi2, len(series), "odr")
+    unit = np.array([1.0 / scale, 1.0])  # the intercept carries the scale, the slope none
+    return _finish(slope, intercept / scale, cov * np.outer(unit, unit), chi2, len(series), "odr")
 
 
 def confidence_interval(

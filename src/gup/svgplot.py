@@ -53,10 +53,16 @@ def format_rows(template: str, *columns: list) -> str:
     return template * len(columns[0]) % tuple(values)
 
 
+# markup characters as entities, and what XML 1.0 forbids in text as the
+# backslash escapes the stdout tables print
+_XML_ESCAPES = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"} | {
+    c: chr(c).encode("unicode_escape").decode()
+    for c in (*range(0x20), 0xFFFE, 0xFFFF) if chr(c) not in "\t\n\r"
+}
+
+
 def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
+    return text.translate(_XML_ESCAPES)
 
 
 def _nice_step(span: float, target: int = 6) -> float:
@@ -77,18 +83,6 @@ def _linear_ticks(lo: float, hi: float) -> list[float]:
         ticks.append(k * step)
         k += 1
     return ticks
-
-
-def _format_tick(value: float) -> str:
-    if value == 0.0:
-        return "0"
-    return f"{value:g}"
-
-
-def _decade_label(exponent: int) -> str:
-    if exponent == 0:
-        return "1"
-    return f"1e{exponent:d}"
 
 
 def line_chart(
@@ -147,7 +141,7 @@ def line_chart(
     # gridlines and ticks
     exponents = range(math.ceil(tx_lo), math.floor(tx_hi) + 1)
     step = 2 if (tx_hi - tx_lo) > 8 else 1
-    x_ticks = [(10.0**e, _decade_label(e)) for e in exponents if e % step == 0]
+    x_ticks = [(10.0**e, f"1e{e:d}" if e else "1") for e in exponents if e % step == 0]
     y_ticks = _linear_ticks(y_lo, y_hi)
     for value, label in x_ticks:
         x = px(math.log10(value))
@@ -157,7 +151,7 @@ def line_chart(
         )
         out.append(
             f'<text x="{x:.2f}" y="{_MARGIN_T + plot_h + 16:.2f}" '
-            f'text-anchor="middle">{_escape(label)}</text>'
+            f'text-anchor="middle">{label}</text>'
         )
     for value in y_ticks:
         y = py(value)
@@ -168,7 +162,7 @@ def line_chart(
         )
         out.append(
             f'<text x="{_MARGIN_L - 6:.2f}" y="{y + 4:.2f}" '
-            f'text-anchor="end">{_escape(_format_tick(value))}</text>'
+            f'text-anchor="end">{value + 0.0:g}</text>'  # + 0.0 prints -0.0 as 0
         )
 
     out.append(

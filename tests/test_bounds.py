@@ -112,6 +112,8 @@ class TestAlphaBound:
         {"upper": 0.0, "n_particles": 1e6},
         {"upper": 1.0, "n_particles": 1.0},
         {"upper": 1.0, "n_particles": 1e6, "beta0": 0.0},
+        {"upper": math.inf, "n_particles": 1e6},
+        {"upper": 1.0, "n_particles": math.inf},
     ])
     def test_rejects_degenerate_inputs(self, kwargs):
         with pytest.raises(ValueError):
@@ -153,6 +155,9 @@ class TestExclusionBoundary:
         (0.0, 1e6, [1.0], "ratio upper bound must be positive"),
         (1.0, 1.0, [1.0], "n_particles must exceed 1"),
         (1.0, 1e6, [1.0, 0.0], "beta0 must be positive"),
+        (math.inf, 1e6, [1.0], "ratio upper bound must be positive and finite"),
+        (math.nan, 1e6, [1.0], "ratio upper bound must be positive and finite"),
+        (1.0, math.inf, [1.0], "n_particles must exceed 1 and be finite"),
     ])
     def test_rejects_degenerate_inputs(self, upper, n, grid, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -307,6 +312,20 @@ class TestRegistry:
         (lambda d: d["scenarios"][0].update(surprise=1), "unknown keys: surprise"),
         (lambda d: d["scenarios"][0].update(kind="astrology"), "unknown scenario kind"),
         (lambda d: d.pop("scenarios"), "'scenarios'"),
+        # fields of the wrong JSON type
+        (lambda d: d["scenarios"][0].update(n_particles=[1]), "#0: n_particles must be a number"),
+        (lambda d: d["scenarios"][0].update(kind=[]), "#0: kind must be a string"),
+        (lambda d: d["scenarios"][0].update(inferred=5), "#0: inferred must be an array"),
+        (lambda d: d["scenarios"][0].update(reference=[1]), "#0: reference must be an object"),
+        (lambda d: d["scenarios"][0].update(parameters={"ratio_upper": [1]}),
+         "'probe': 'ratio_upper' must be a finite number"),
+        # numbers past float range, or no number at all
+        (lambda d: d["scenarios"][0].update(parameters={"ratio_upper": math.inf}),
+         "'probe': 'ratio_upper' must be a finite number"),
+        (lambda d: d["scenarios"][0].update(parameters={"ratio_upper": math.nan}),
+         "'probe': 'ratio_upper' must be a finite number"),
+        (lambda d: d["scenarios"][0].update(n_particles=math.inf), "#0: n_particles must be finite"),
+        (lambda d: d["scenarios"][0].update(n_particles=10**400), "#0: n_particles must be finite"),
     ])
     def test_validation_names_the_problem(self, tmp_path, mangle, fragment):
         doc = {
@@ -322,7 +341,8 @@ class TestRegistry:
         path = tmp_path / "registry.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioError, match=fragment):
-            load_scenarios(str(path))
+            for scenario in load_scenarios(str(path)):
+                resolve_scenario(scenario)
 
     def test_error_reports_index(self, tmp_path):
         doc = {"version": 1, "scenarios": [
@@ -352,6 +372,10 @@ class TestRegistry:
             ExperimentScenario(
                 kind="levitation", label="x", n_particles=None, parameters={},
                 style="dotted",
+            )
+        with pytest.raises(ScenarioError, match="n_particles must be finite"):
+            ExperimentScenario(
+                kind="levitation", label="x", n_particles=math.inf, parameters={}
             )
 
     def test_missing_levitation_parameter_named(self):

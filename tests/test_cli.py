@@ -737,6 +737,60 @@ class TestScenarios:
             assert len(rows) == len(labels)
             assert [row[:38].rstrip() for row in rows] == shown
 
+    @staticmethod
+    def write_registry(tmp, **fields):
+        entry = {"kind": "oscillator-frequency", "label": "bench", "n_particles": 1e12,
+                 "parameters": {"ratio_upper": 1e3}}
+        (tmp / "reg.json").write_text(json.dumps({"version": 1, "scenarios": [entry | fields]}))
+        (tmp / "conf.json").write_text(json.dumps({"scenarios": "reg.json"}))
+
+    @pytest.mark.parametrize("fields,listed", [
+        ({"n_particles": [1]}, False),
+        ({"kind": []}, False),
+        ({"inferred": 5}, False),
+        ({"reference": [1]}, False),
+        ({"n_particles": math.inf}, False),
+        ({"parameters": {"ratio_upper": [1]}}, True),
+        ({"parameters": {"ratio_upper": math.inf}}, True),
+        ({"parameters": {"ratio_upper": math.nan}}, True),
+    ])
+    def test_bad_registry_field_exits_one_before_writing(self, capsys, in_tmp, fields, listed):
+        self.write_registry(in_tmp, **fields)
+        code, out, err = run(capsys, "exclusion", "--config", "conf.json",
+                             "--out-csv", "b.csv", "--out-svg", "b.svg")
+        assert (code, out) == (1, "")
+        assert err.startswith("gup: error: scenario ") and err.count("\n") == 1
+        assert not (in_tmp / "b.csv").exists() and not (in_tmp / "b.svg").exists()
+        # listing reads no parameters, so only the record's own fields stop it
+        code, _, err = run(capsys, "scenarios", "list", "--config", "conf.json")
+        assert code == (0 if listed else 1)
+
+    def test_bad_registry_field_prints_no_traceback(self, in_tmp):
+        self.write_registry(in_tmp, n_particles=[1])
+        env = dict(os.environ, PYTHONPATH=str(Path(gup.__file__).parents[1]))
+        for argv in (["exclusion"], ["scenarios", "list"]):
+            result = subprocess.run(
+                [sys.executable, "-m", "gup.cli", *argv, "--config", "conf.json"],
+                env=env, cwd=in_tmp, capture_output=True, text=True,
+            )
+            assert result.returncode == 1
+            assert "Traceback" not in result.stderr
+            assert result.stderr == "gup: error: scenario #0: n_particles must be a number or null\n"
+
+    def test_svg_of_labels_with_control_characters_parses(self, capsys, in_tmp):
+        labels = ["bad\x01label\x0b", "nul\x00and\ufffe", "tab\tkept"]
+        (in_tmp / "reg.json").write_text(json.dumps({"version": 1, "scenarios": [
+            {"kind": "oscillator-frequency", "label": label, "n_particles": 1e12,
+             "parameters": {"ratio_upper": 1e3}}
+            for label in labels
+        ]}))
+        (in_tmp / "conf.json").write_text(json.dumps({"scenarios": "reg.json"}))
+        code, _, _ = run(capsys, "exclusion", "--config", "conf.json", "--out-svg", "b.svg")
+        assert code == 0
+        root = ElementTree.parse(in_tmp / "b.svg").getroot()
+        texts = [el.text for el in root.iter() if el.tag.endswith("text")]
+        assert texts[-3:] == ["bad\\x01label\\x0b", "nul\\x00and\\ufffe", "tab\tkept"]
+
 
 class TestImports:
     def test_cli_import_skips_scipy_stats(self):

@@ -205,26 +205,26 @@ class TestTrajectory:
         phi = 0.4
         samples = integrate_trajectory(experiment, 0.0, phi, 8.0, rel_tol=1e-10)
         tol = 1e-8
-        assert all(abs(s.angle) <= phi + tol for s in samples)
+        assert np.all(np.abs(samples[:, 1]) <= phi + tol)
 
     def test_starts_at_rest_on_amplitude(self, experiment):
         samples = integrate_trajectory(experiment, 0.0, 0.3, 1.0, times=[0.0])
-        assert samples[0].angle == pytest.approx(0.3, abs=1e-12)
-        assert samples[0].displacement == pytest.approx(experiment.length * math.sin(0.3), rel=1e-12)
+        assert samples[0, 1] == pytest.approx(0.3, abs=1e-12)
+        assert samples[0, 2] == pytest.approx(experiment.length * math.sin(0.3), rel=1e-12)
 
     def test_explicit_times_respected(self, experiment):
         ts = np.linspace(0.0, 5.0, 37)
         samples = integrate_trajectory(experiment, 0.0, 0.3, 5.0, times=ts)
-        assert len(samples) == 37
-        np.testing.assert_array_equal([s.time for s in samples], ts)
+        assert samples.shape == (37, 3) and samples.dtype == np.float64
+        assert not samples.flags.writeable
+        np.testing.assert_array_equal(samples[:, 0], ts)
 
     def test_small_amplitude_is_near_cosine(self, experiment):
         phi = 0.01
         omega = math.sqrt(experiment.gravity / experiment.length)
         ts = np.linspace(0.0, 2.0 * math.pi / omega, 200)
         samples = integrate_trajectory(experiment, 0.0, phi, ts[-1], times=ts)
-        angles = np.array([s.angle for s in samples])
-        np.testing.assert_allclose(angles, phi * np.cos(omega * ts), atol=2e-6 * phi + 1e-6)
+        np.testing.assert_allclose(samples[:, 1], phi * np.cos(omega * ts), atol=2e-6 * phi + 1e-6)
 
     @staticmethod
     def turning_point_energies(pend, beta, phi):
@@ -279,9 +279,7 @@ class TestTrajectory:
         ts = np.linspace(0.0, 3.5, 300)
         deformed = integrate_trajectory(experiment, beta, phi, 3.5, times=ts, rel_tol=1e-11)
         plain = integrate_trajectory(experiment, 0.0, phi, 3.5, times=ts, rel_tol=1e-11)
-        drift = np.max(np.abs(
-            np.array([s.angle for s in deformed]) - np.array([s.angle for s in plain])
-        ))
+        drift = np.max(np.abs(deformed[:, 1] - plain[:, 1]))
         momentum_scale = experiment.mass * math.sqrt(experiment.gravity * experiment.length) * phi
         scale = 2.0 * momentum_scale**2 * beta
         assert 0.0 < drift < 10.0 * scale

@@ -204,6 +204,21 @@ class TestOdr:
         assert scaled.reduced_chi2 == pytest.approx(fit.reduced_chi2 / k**2, rel=1e-9)
         assert scaled.slope_se == pytest.approx(k * fit.slope_se, rel=1e-9)
 
+    @pytest.mark.parametrize("factor", [1e-100, 1e-80, 1e-60, 1e60, 1e80, 1e100])
+    def test_fit_does_not_depend_on_the_units(self, factor):
+        # both axes in other units: the slope stays, the intercept and its error scale
+        x, y = np.arange(4.0), np.array([0.1, 1.0, 2.1, 2.9])
+        sx, sy = np.array([0.1, 0.15, 0.2, 0.12]), np.array([0.1, 0.2, 0.3, 0.15])
+        fit = odr_fit(MeasurementSeries(x, y, sx, sy))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = odr_fit(MeasurementSeries(factor * x, factor * y, factor * sx, factor * sy))
+        assert scaled.slope == pytest.approx(fit.slope, rel=1e-14)
+        assert scaled.slope_se == pytest.approx(fit.slope_se, rel=1e-14)
+        assert scaled.intercept == pytest.approx(factor * fit.intercept, rel=1e-13)
+        assert scaled.intercept_se == pytest.approx(factor * fit.intercept_se, rel=1e-13)
+        assert scaled.chi2 == pytest.approx(fit.chi2, rel=1e-13)
+
     def test_vanishing_sigma_x_reduces_to_wls(self, rng):
         s = make_series(rng, n=30, sx=0.1, sy=0.1)
         tiny = MeasurementSeries(x=s.x, y=s.y, sigma_x=1e-12, sigma_y=s.sigma_y)
@@ -227,7 +242,7 @@ class TestOdr:
         assert fit.slope_se == pytest.approx(4.4679876526640096e-04, rel=1e-8)
         assert fit.intercept_se == pytest.approx(5.130583955380893e-05, rel=1e-8)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2])
     def test_too_few_points(self, n):
         s = MeasurementSeries(
             x=np.arange(n, dtype=float), y=np.arange(n, dtype=float),
