@@ -275,13 +275,20 @@ def json_number(value: Any) -> "float | None":
         return math.inf if value > 0 else -math.inf
 
 
-# the JSON type of each field, checked before a use of it could raise a TypeError
+def _is_text(value: Any) -> bool:
+    """A str that UTF-8 can encode: JSON escapes such as \\ud800 give lone surrogates."""
+    return isinstance(value, str) and not any("\ud800" <= c <= "\udfff" for c in value)
+
+
+# the JSON type of each field, checked before a use of it could raise a
+# TypeError, and of the printed strings before any output
 _FIELD_TYPES = {
     "kind": ("a string", lambda v: isinstance(v, str)),
+    "label": ("a string without lone surrogates", _is_text),
     "parameters": ("an object", lambda v: isinstance(v, dict)),
     "n_particles": ("a number or null", lambda v: v is None or json_number(v) is not None),
-    "inferred": ("an array of strings",
-                 lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v)),
+    "inferred": ("an array of strings without lone surrogates",
+                 lambda v: isinstance(v, list) and all(map(_is_text, v))),
     "reference": ("an object of numbers",
                   lambda v: isinstance(v, dict) and None not in map(json_number, v.values())),
 }
@@ -307,7 +314,7 @@ def _scenario_from_record(index: int, record: Any) -> ExperimentScenario:
     try:
         return ExperimentScenario(
             kind=record["kind"],
-            label=str(record["label"]),
+            label=record["label"],
             n_particles=json_number(record.get("n_particles")),
             parameters=dict(record["parameters"]),
             style=record.get("style", "solid"),

@@ -279,19 +279,18 @@ def odr_fit(series: MeasurementSeries) -> LinearFit:
 
     Profiles out the per-point true abscissae and the intercept, polishes every
     stationary point of the slope profile (_stationary_slopes) by Newton
-    iteration and keeps the lowest minimum: the global one.  Both axes are
-    fitted in one power-of-two rescaling that centres the sigmas' binary
-    exponents on 0: exact, so the fit does not depend on the units, and the
-    profile's sigma^4 w^3 terms stay in float range at any scale.
+    iteration and keeps the lowest minimum: the global one.  Each axis is
+    fitted in its own power-of-two rescaling, which centres the binary
+    exponents of its sigmas on 0: exact, so the fit depends on neither axis's
+    units, and the profile's sigma^4 w^3 terms stay in float range at any scale.
     """
     _require_fittable(series)
-    low = math.frexp(min(series.sigma_x.min(), series.sigma_y.min()))[1]
-    high = math.frexp(max(series.sigma_x.max(), series.sigma_y.max()))[1]
-    scale = math.ldexp(1.0, -((low + high) // 2))
+    ux, uy = (math.ldexp(1.0, -((math.frexp(s.min())[1] + math.frexp(s.max())[1]) // 2))
+              for s in (series.sigma_x, series.sigma_y))
     # the scaled arrays are not validated again: a power of two changes no digit
     scaled = object.__new__(MeasurementSeries)
-    for name in ("x", "y", "sigma_x", "sigma_y"):
-        object.__setattr__(scaled, name, getattr(series, name) * scale)
+    for name, u in (("x", ux), ("y", uy), ("sigma_x", ux), ("sigma_y", uy)):
+        object.__setattr__(scaled, name, getattr(series, name) * u)
     series = scaled
     start = wls_fit(series)
     minima = []
@@ -318,8 +317,13 @@ def odr_fit(series: MeasurementSeries) -> LinearFit:
     if det <= 0.0 or haa <= 0.0:
         raise FitConvergenceError("objective Hessian is not positive definite")
     cov = (2.0 / det) * np.array([[hbb, -hab], [-hab, haa]])
-    unit = np.array([1.0 / scale, 1.0])  # the intercept carries the scale, the slope none
-    return _finish(slope, intercept / scale, cov * np.outer(unit, unit), chi2, len(series), "odr")
+    # in the scaled units y = a + b x reads uy y = uy a + (uy / ux) b (ux x)
+    back = np.array([1.0 / uy, ux / uy])
+    with np.errstate(over="ignore"):
+        intercept, slope, cov = intercept * back[0], slope * back[1], cov * back[:, None] * back
+    if not (math.isfinite(intercept) and math.isfinite(slope) and np.isfinite(cov).all()):
+        raise FitConvergenceError("the fit or its covariance overflows float64 in these units")
+    return _finish(slope, intercept, cov, chi2, len(series), "odr")
 
 
 def confidence_interval(

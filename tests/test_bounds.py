@@ -317,6 +317,14 @@ class TestRegistry:
         (lambda d: d["scenarios"][0].update(kind=[]), "#0: kind must be a string"),
         (lambda d: d["scenarios"][0].update(inferred=5), "#0: inferred must be an array"),
         (lambda d: d["scenarios"][0].update(reference=[1]), "#0: reference must be an object"),
+        (lambda d: d["scenarios"][0].update(label=None), "#0: label must be a string"),
+        (lambda d: d["scenarios"][0].update(label=5), "#0: label must be a string"),
+        (lambda d: d["scenarios"][0].update(label=[]), "#0: label must be a string"),
+        # lone surrogates, which UTF-8 cannot print
+        (lambda d: d["scenarios"][0].update(label="sur\ud800gate"),
+         "#0: label must be a string without lone surrogates"),
+        (lambda d: d["scenarios"][0].update(inferred=["ratio\udc00upper"]),
+         "#0: inferred must be an array of strings without lone surrogates"),
         (lambda d: d["scenarios"][0].update(parameters={"ratio_upper": [1]}),
          "'probe': 'ratio_upper' must be a finite number"),
         # numbers past float range, or no number at all

@@ -665,7 +665,7 @@ class TestQuantumCheck:
         assert code == 2
         lines = out.splitlines()
         assert len(lines) == 7 and lines[-1] == "quantum checks FAILED"
-        assert "hbar->0 vs classical ODE" in lines[5]
+        assert "hbar->0 vs exact classical" in lines[5]
 
     @pytest.mark.parametrize("j", ["nan", "inf"])
     def test_non_finite_action_refused(self, capsys, j):
@@ -753,6 +753,9 @@ class TestScenarios:
         ({"parameters": {"ratio_upper": [1]}}, True),
         ({"parameters": {"ratio_upper": math.inf}}, True),
         ({"parameters": {"ratio_upper": math.nan}}, True),
+        ({"label": None}, False),
+        ({"label": 5}, False),
+        ({"label": []}, False),
     ])
     def test_bad_registry_field_exits_one_before_writing(self, capsys, in_tmp, fields, listed):
         self.write_registry(in_tmp, **fields)
@@ -764,6 +767,24 @@ class TestScenarios:
         # listing reads no parameters, so only the record's own fields stop it
         code, _, err = run(capsys, "scenarios", "list", "--config", "conf.json")
         assert code == (0 if listed else 1)
+
+    # the good first entry was listed before the encoding error
+    @pytest.mark.parametrize("fields,message", [
+        ({"label": "sur\ud800gate"}, "label must be a string without lone surrogates"),
+        ({"inferred": ["ratio\udc00upper"]},
+         "inferred must be an array of strings without lone surrogates"),
+    ])
+    def test_lone_surrogate_refused_before_any_row(self, capsys, in_tmp, fields, message):
+        entry = {"kind": "oscillator-frequency", "label": "bench", "n_particles": 1e12,
+                 "parameters": {"ratio_upper": 1e3}}
+        (in_tmp / "reg.json").write_text(
+            json.dumps({"version": 1, "scenarios": [entry, entry | fields]}))
+        (in_tmp / "conf.json").write_text(json.dumps({"scenarios": "reg.json"}))
+        writers = ("--out-csv", "b.csv", "--out-svg", "b.svg")
+        for argv in (("scenarios", "list"), ("exclusion", *writers)):
+            code, out, err = run(capsys, *argv, "--config", "conf.json")
+            assert (code, out, err) == (1, "", f"gup: error: scenario #1: {message}\n")
+        assert not (in_tmp / "b.csv").exists() and not (in_tmp / "b.svg").exists()
 
     def test_bad_registry_field_prints_no_traceback(self, in_tmp):
         self.write_registry(in_tmp, n_particles=[1])
@@ -830,6 +851,10 @@ class TestImports:
         )
         assert self._scipy_loaded_after(code, tmp_path) == "[]"
         assert {p.name for p in tmp_path.iterdir()} == {"fit.json", "b.csv", "b.svg"}
+
+    def test_quantum_check_loads_no_scipy(self, tmp_path):
+        code = "import gup.cli\nassert gup.cli.main(['quantum-check']) == 0"
+        assert self._scipy_loaded_after(code, tmp_path) == "[]"
 
     @pytest.mark.parametrize(
         "name", [m.name for m in pkgutil.iter_modules(gup.__path__)]

@@ -219,6 +219,33 @@ class TestOdr:
         assert scaled.intercept_se == pytest.approx(factor * fit.intercept_se, rel=1e-13)
         assert scaled.chi2 == pytest.approx(fit.chi2, rel=1e-13)
 
+    # x and y in units of their own: 10^-70 and 10^70 raised "objective
+    # Hessian is not positive definite" with one scale for both axes
+    @pytest.mark.parametrize("x_exp,y_exp", [(-70, 70), (-40, 40), (40, -40), (0, 60), (60, 0)])
+    def test_fit_does_not_depend_on_each_axis_units(self, x_exp, y_exp):
+        x, y = np.arange(4.0), np.array([0.1, 1.0, 2.1, 2.9])
+        sx, sy = np.array([0.1, 0.15, 0.2, 0.12]), np.array([0.1, 0.2, 0.3, 0.15])
+        fit = odr_fit(MeasurementSeries(x, y, sx, sy))
+        fx, fy = 10.0**x_exp, 10.0**y_exp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = odr_fit(MeasurementSeries(fx * x, fy * y, fx * sx, fy * sy))
+        slope = float(Fraction(fit.slope) * Fraction(10) ** (y_exp - x_exp))
+        assert abs(scaled.slope - slope) <= 2.0 * np.spacing(slope)
+        assert scaled.slope_se == pytest.approx(fit.slope_se * fy / fx, rel=1e-14)
+        assert scaled.intercept == pytest.approx(fy * fit.intercept, rel=1e-13)
+        assert scaled.intercept_se == pytest.approx(fy * fit.intercept_se, rel=1e-13)
+        assert scaled.chi2 == pytest.approx(fit.chi2, rel=1e-13)
+
+    def test_covariance_past_float_range_refused(self):
+        # slope 1e160: its variance, about 1e318, has no float64
+        x, y = np.arange(4.0), np.array([0.1, 1.0, 2.1, 2.9])
+        sx, sy = np.array([0.1, 0.15, 0.2, 0.12]), np.array([0.1, 0.2, 0.3, 0.15])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitConvergenceError, match="overflows float64"):
+                odr_fit(MeasurementSeries(1e-80 * x, 1e80 * y, 1e-80 * sx, 1e80 * sy))
+
     def test_vanishing_sigma_x_reduces_to_wls(self, rng):
         s = make_series(rng, n=30, sx=0.1, sy=0.1)
         tiny = MeasurementSeries(x=s.x, y=s.y, sigma_x=1e-12, sigma_y=s.sigma_y)

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import gammaln
 
 from gup import oscillator
+from gup.dynamics import integrate_oscillator_trajectory
 from gup.oscillator import (
     GKState,
     OscillatorModel,
@@ -394,6 +395,48 @@ class TestClosedForms:
             trajectory_x_closed_form(model_units(beta=1e-4), 0.0, 1.0)
 
 
+class TestExactClassicalTrajectory:
+    MASS, OMEGA, AMPLITUDE = 1.3, 0.9, 1.1
+
+    def model(self, z, hbar=1e-12):
+        beta = z / (self.MASS * self.OMEGA * self.AMPLITUDE) ** 2
+        return OscillatorModel(mass=self.MASS, omega=self.OMEGA, hbar=hbar, beta=beta)
+
+    # ten of the trajectory's own periods 2 pi / (omega sqrt(1 + z)); the
+    # gap is the ODE's error, which grows with z: 6.4e-11 A at z = 0.99,
+    # where the closed form is within 2e-14 A of a 40-digit evaluation
+    @pytest.mark.parametrize("z", [1e-6, 2e-5, 1e-2, 0.09, 0.5, 0.99])
+    def test_matches_ode(self, z):
+        model = self.model(z)
+        times = np.linspace(0.0, 20.0 * math.pi / (self.OMEGA * math.sqrt(1.0 + z)), 331)
+        exact = oscillator._classical_trajectory_x(model, self.AMPLITUDE, times)
+        ode = integrate_oscillator_trajectory(
+            model.mass, model.omega, model.beta, self.AMPLITUDE, times, rel_tol=1e-12
+        )
+        assert np.max(np.abs(exact - ode)) <= 1e-10 * self.AMPLITUDE
+
+    @pytest.mark.parametrize("z", [1e-2, 1e-4])
+    @pytest.mark.parametrize("periods", [1, 10])
+    def test_first_order_form_is_off_by_z_squared(self, z, periods):
+        times = np.linspace(0.0, 2.0 * math.pi * periods / self.OMEGA, 33 * periods)
+
+        def gap(z):
+            model = self.model(z)
+            return np.max(np.abs(
+                oscillator._classical_trajectory_x(model, self.AMPLITUDE, times)
+                - trajectory_x_closed_form(model, self.AMPLITUDE, times)
+            ))
+
+        assert 3.5 <= gap(z) / gap(0.5 * z) <= 4.5
+
+    def test_undeformed_is_pure_cosine(self):
+        times = np.linspace(0.0, 10.0, 50)
+        np.testing.assert_allclose(
+            oscillator._classical_trajectory_x(self.model(0.0), 2.0, times),
+            2.0 * np.cos(self.OMEGA * times), rtol=1e-14,
+        )
+
+
 class TestBandExpectations:
     # a random state weights the top levels, where the bands are largest
     @pytest.mark.parametrize("mass,omega,hbar,beta,dimension", [
@@ -430,7 +473,7 @@ class TestInvariantChecks:
         "<h> = hbar omega J": (lambda v, model, J: v < 1e-10, ".3e"),
         "commutator residual": (lambda v, model, J: abs(v - 2.0) < 0.1, ".3f"),
         "closed form vs matrix <x>": (lambda v, model, J: 3.5 <= v <= 4.5, ".3f"),
-        "hbar->0 vs classical ODE": (
+        "hbar->0 vs exact classical": (
             lambda v, model, J: v < _ode_tolerance(model, J), ".3e"),
     }
 
