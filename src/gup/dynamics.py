@@ -311,6 +311,7 @@ def _solve_swing(
     t_end: float,
     rel_tol: float,
     dense_output: bool = False,
+    first_crossing: bool = False,
 ):
     """One DOP853 solve of the swing in the canonical pair (x, ptilde).
 
@@ -319,8 +320,8 @@ def _solve_swing(
         H = p(ptilde)^2 c^2 / (2 m) - m g L c,   c = sqrt(1 - x^2 / L^2),
 
     released from rest at x = L sin(phi).  Event 0 is x = 0 (zero
-    crossings in either direction), event 1 is ptilde = 0 (turning
-    points, including the release at t = 0).
+    crossings in either direction; with first_crossing the first one ends
+    the solve), event 1 is ptilde = 0 (turning points, from t = 0 on).
     """
     mass, length = pend.mass, pend.length
     weight = mass * pend.gravity
@@ -328,14 +329,18 @@ def _solve_swing(
 
     def rhs(t, state):
         x, ptilde = state
-        p, slope = _physical_momentum(ptilde, root)
         c2 = 1.0 - (x / length) ** 2
+        # NaN makes the step controller reject a stage past |x| = L or p's pole
+        if c2 <= 0.0 or root * abs(ptilde) >= 0.5 * math.pi:
+            return (math.nan, math.nan)
+        p, slope = _physical_momentum(ptilde, root)
         velocity = p * c2 * slope / mass
         force = (x / length) * (p * p / (mass * length) - weight / math.sqrt(c2))
         return (velocity, force)
 
     def crossing(t, state):
         return state[0]
+    crossing.terminal = first_crossing
 
     def turning(t, state):
         return state[1]
@@ -375,25 +380,27 @@ def integrate_trajectory(
     Hamilton's equations are integrated in the canonical pair (x, ptilde),
     smooth through the turning points, in one high-order solve whose dense
     output gives theta = asin(x / L).  Unless explicit times are given, rows
-    lie on a uniform grid of 256 per period_exact_quadrature period (at
-    least 64); they are monotone in time either way.
+    lie on a uniform grid of 256 per period 4 t_1, t_1 being the solve's
+    first zero crossing (at least 64); they are monotone in time either way.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     t_end = float(t_end)
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
 
-    if times is None:
-        period = period_exact_quadrature(pend, beta, phi)
-        count = max(64, round(256 * t_end / period))
-        grid = np.linspace(0.0, t_end, count)
-    else:
+    grid = None
+    if times is not None:
         grid = np.asarray(times, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("times must be a non-empty 1-D sequence")
         if np.any(np.diff(grid) < 0.0) or grid[0] < 0.0 or grid[-1] > t_end:
             raise ValueError("times must be non-decreasing within [0, t_end]")
     sol = _solve_swing(pend, beta, phi, t_end, rel_tol, dense_output=True)
+    if grid is None:
+        # with no crossing before t_end, t_end < t_1 and the floor of 64 holds
+        crossings = sol.t_events[0]
+        count = max(64, round(64 * t_end / crossings[0])) if len(crossings) else 64
+        grid = np.linspace(0.0, t_end, count)
     displacements = sol.sol(grid)[0]
     angles = np.arcsin(displacements / pend.length)
     samples = np.column_stack((grid, angles, displacements))
@@ -407,19 +414,20 @@ def trajectory_period(
     angular_amplitude: float,
     rel_tol: float = 1e-10,
 ) -> float:
-    """Empirical period from the zero crossings of an integrated swing.
+    """Period 4 t_1 of a swing integrated to its first zero crossing t_1.
 
-    Integrates a little under three periods, sized from
-    period_exact_quadrature, and averages the spacing of same-direction
-    zero crossings, which the solver locates by root finding on its
-    dense output.
+    H(x, ptilde) is even in x and in ptilde and the bob starts from rest, so
+    the motion is symmetric in time and in x.  The solver locates t_1 by root
+    finding on its dense output and stops there.  Its span is a fifth past
+    t_1 <= (pi/2) sqrt(L/g) / cos(phi/2) (K(k) <= (pi/2) / sqrt(1 - k^2), and
+    the deformation only shortens the swing), so no quadrature is used.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
-    period = period_exact_quadrature(pend, beta, phi)
-    crossings = _solve_swing(pend, beta, phi, 2.8 * period, rel_tol).t_events[0]
-    if len(crossings) < 3:
-        raise TrajectoryError("not enough zero crossings to estimate a period")
-    return float(np.mean(crossings[2:] - crossings[:-2]))
+    span = 0.6 * math.pi * math.sqrt(pend.length / pend.gravity) / math.cos(0.5 * phi)
+    sol = _solve_swing(pend, beta, phi, span, rel_tol, first_crossing=True)
+    if sol.status != 1:
+        raise TrajectoryError("the swing did not reach a zero crossing")
+    return 4.0 * float(sol.t_events[0][0])
 
 
 def integrate_oscillator_trajectory(

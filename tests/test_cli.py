@@ -500,6 +500,27 @@ class TestPeriod:
         assert err == f"gup: error: --out-csv needs --trajectory: {name} computes no samples\n"
         assert list(in_tmp.iterdir()) == []
 
+    def test_trajectory_near_the_length_at_large_deformation(self, capsys):
+        # a trial stage past |x| = L once ended this with exit 1
+        periods = {}
+        for method in ("--exact", "--trajectory"):
+            code, out, err = run(
+                capsys, "period", "--amplitude", "2.9", "--beta0", "1e6", method
+            )
+            assert (code, err) == (0, "")
+            periods[method] = float(out.split("period_s=")[1].split()[0])
+        assert periods["--trajectory"] == pytest.approx(periods["--exact"], rel=1e-8)
+
+    def test_trajectory_csv_sized_without_the_quadrature(self, capsys, in_tmp):
+        # the quadrature's period is about 2e3 times too short here
+        code, _, err = run(
+            capsys, "period", "--amplitude", "2.99", "--beta0", "1e8",
+            "--trajectory", "--out-csv", "swing.csv",
+        )
+        assert (code, err) == (0, "")
+        lines = (in_tmp / "swing.csv").read_text().splitlines()
+        assert len(lines) == 1 + 512
+
     def test_exact_rejects_zero_amplitude(self, capsys):
         code, _, err = run(capsys, "period", "--amplitude", "0")
         assert code == 1

@@ -285,6 +285,76 @@ class TestTrajectory:
         assert 0.0 < drift < 10.0 * scale
 
 
+# DOP853 trial stages used to step past |x| = L at some of these amplitudes
+GUARD_AMPLITUDES = np.linspace(0.36, 1.5, 58)
+
+
+class TestQuarterSwing:
+    """trajectory_period times one quarter swing, T = 4 t_1."""
+
+    @pytest.mark.parametrize("beta0,phi", [(0.0, 0.3), (1e4, 0.7), (1e6, 0.05)])
+    def test_matches_spacing_of_same_direction_crossings(self, experiment, beta0, phi):
+        beta = DeformationParams(beta0=beta0).effective_beta
+        period = period_exact_quadrature(experiment, beta, phi)
+        crossings = dynamics._solve_swing(experiment, beta, phi, 2.3 * period, 1e-10).t_events[0]
+        assert len(crossings) == 5
+        spacing = float(np.mean(crossings[2:] - crossings[:-2]))
+        assert trajectory_period(experiment, beta, phi) == pytest.approx(spacing, rel=1e-9)
+
+    def test_independent_of_the_quadrature(self, experiment, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trajectory_period reached the quadrature")
+
+        monkeypatch.setattr(dynamics, "period_exact_quadrature", refuse)
+        period = trajectory_period(experiment, 0.0, 0.3)
+        assert period == pytest.approx(agm_pendulum_period(experiment, 0.3), rel=1e-8)
+
+    @pytest.mark.parametrize("beta0,phi", [(1e6, 1.5), (1e8, 1.2)])
+    def test_matches_quadrature_at_large_amplitude(self, experiment, beta0, phi):
+        deformation = DeformationParams(beta0=beta0)
+        reference = period_exact_quadrature(experiment, deformation, phi, rel_tol=1e-12)
+        measured = trajectory_period(experiment, deformation, phi)
+        assert measured == pytest.approx(reference, rel=1e-8)
+
+    @pytest.mark.parametrize("beta0", [1e6, 1e8])
+    def test_no_domain_error_on_amplitude_grid(self, experiment, beta0):
+        # at (1e8, 1.5) period_exact_quadrature reads about 1.1e-8 s
+        deformation = DeformationParams(beta0=beta0)
+        for phi in GUARD_AMPLITUDES:
+            period = trajectory_period(experiment, deformation, phi)
+            assert 0.0 < period < agm_pendulum_period(experiment, phi)
+
+    def test_integration_survives_amplitude_grid(self, experiment):
+        # a whole period brings the bob back to its release angle; at this
+        # rel_tol the stage past |x| = L came at 36 of the 58 amplitudes
+        deformation = DeformationParams(beta0=1e6)
+        for phi in GUARD_AMPLITUDES:
+            t_end = period_exact_quadrature(experiment, deformation, phi)
+            samples = integrate_trajectory(
+                experiment, deformation, phi, t_end, rel_tol=1e-8, times=[t_end]
+            )
+            assert samples[-1, 1] == pytest.approx(phi, rel=1e-6)
+
+    @pytest.mark.parametrize("beta0,rel_tol", [(1e6, 1e-4), (1e8, 1e-6)])
+    def test_loose_tolerance_stays_below_the_pole(self, experiment, beta0, rel_tol):
+        # a step across sqrt(beta) ptilde = pi/2 used to flip the sign of p
+        deformation = DeformationParams(beta0=beta0)
+        for phi in GUARD_AMPLITUDES[GUARD_AMPLITUDES <= 1.2]:
+            reference = period_exact_quadrature(experiment, deformation, phi)
+            measured = trajectory_period(experiment, deformation, phi, rel_tol=rel_tol)
+            assert measured == pytest.approx(reference, rel=1e-3)
+
+    def test_solver_failure_raises_trajectory_error(self, experiment, monkeypatch):
+        physical = dynamics._physical_momentum
+
+        def undefined_past(ptilde, root):
+            return (math.nan, math.nan) if abs(ptilde) > 1e-3 else physical(ptilde, root)
+
+        monkeypatch.setattr(dynamics, "_physical_momentum", undefined_past)
+        with pytest.raises(TrajectoryError, match="swing integration failed"):
+            trajectory_period(experiment, 0.0, 0.3)
+
+
 class TestOscillatorTrajectory:
     def test_zero_beta_is_cosine(self):
         ts = np.linspace(0.0, 4.0 * math.pi, 300)
@@ -331,12 +401,13 @@ class TestIntegratorLookup:
         assert dynamics.integrate is scipy.integrate
 
     @pytest.mark.parametrize("call,solve_ivp,quad", [
-        (lambda pend: trajectory_period(pend, 0.0, 0.1), 1, True),
+        (lambda pend: trajectory_period(pend, 0.0, 0.1), 1, False),
         (lambda pend: integrate_oscillator_trajectory(
             1.0, 1.0, 1e-3, 0.5, [0.0, 1.0, 2.0]), 1, False),
         (lambda pend: period_exact_quadrature(pend, 0.0, 0.1), 0, True),
+        (lambda pend: integrate_trajectory(pend, 0.0, 0.1, 1.0), 1, False),
     ], ids=["trajectory_period", "integrate_oscillator_trajectory",
-            "period_exact_quadrature"])
+            "period_exact_quadrature", "integrate_trajectory"])
     def test_wrapped_integrators_are_reached(
         self, monkeypatch, experiment, call, solve_ivp, quad
     ):
