@@ -52,8 +52,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # the integrators import scipy.integrate when they run; this keeps
-    # gup.dynamics.integrate naming it for callers that wrap its functions
+    # the ODE solves import scipy.integrate when they run; this keeps
+    # gup.dynamics.integrate naming it for callers that wrap solve_ivp
     if name == "integrate":
         from scipy import integrate
         return integrate
@@ -192,65 +192,64 @@ def period_first_order(
     return base * (1.0 + anharmonic - deformed)
 
 
-def _quad_smooth(func, lo: float, hi: float, rel_tol: float) -> float:
-    """Adaptive quadrature of a smooth integrand with failure detection."""
-    from scipy import integrate
-    result = integrate.quad(
-        func, lo, hi, epsabs=1e-300, epsrel=rel_tol, full_output=True, limit=200
-    )
-    if len(result) > 3:
-        # quad appends an explanation string only when it gave up
-        raise QuadratureError(f"adaptive quadrature did not converge: {result[3]}")
-    value, abserr = result[0], result[1]
-    if value != 0.0 and abserr > 10.0 * rel_tol * abs(value):
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.2e} exceeds requested "
-            f"relative tolerance {rel_tol:.2e}"
-        )
-    return value
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    Nodes: eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23
+    (1969) 221); weights: 1 / sum_{m<n} (m + 1/2) P_m(x)^2 by recurrence.
+    """
+    j = np.arange(1.0, n)
+    nodes = np.linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))
+    below, legendre, norm = 0.0, np.ones(n), np.zeros(n)
+    for m in range(n):
+        norm += (m + 0.5) * legendre**2
+        below, legendre = legendre, ((2 * m + 1) * nodes * legendre - m * below) / (m + 1)
+    return nodes, 1.0 / norm
 
 
-def _split_period(
-    pend: PendulumConfig,
-    beta: float,
-    phi: float,
-    rel_tol: float,
-    linearized: bool,
+_RULE_20, _RULE_40 = _gauss_legendre(20), _gauss_legendre(40)
+_NODES = np.concatenate((_RULE_20[0], _RULE_40[0]))
+_MAX_PANELS = 400
+
+
+def _swing_integral(
+    pend: PendulumConfig, beta: float, phi: float, rel_tol: float, linearized: bool
 ) -> float:
     """Shared quadrature core for the exact and linearized periods.
 
-    Substituting sin(theta/2) = sin(phi/2) sin(u) maps the half-swing to
-    u in [0, pi/2] and turns the (cos theta - cos phi)^(-1/2) endpoint
-    divergence into the smooth elliptic integrand.  The deformation term
-    is kept either exactly, via 1/(1+z) = 1 - z/(1+z), or to first order
-    in beta (z alone), matching the expansion used for the closed form.
+    sin(theta/2) = k cos(w), k = sin(phi/2), maps the half-swing to w in
+    [0, pi/2], turning point at w = 0, with the smooth integrand
+    weight(z) / sqrt(1 - k^2 cos^2 w), S = 2 m^2 g L beta and
+    z = S (cos theta - cos phi) / cos^2 theta: weight 1/(1+z) exactly,
+    1 - z to first order.  Large S confines 1/(1+z) to a layer of width
+    cos(phi) / (k sqrt(2S)) at w = 0.  Panels start there and grow
+    fourfold; each is halved until its 20- and 40-point Gauss-Legendre
+    sums agree to rel_tol of the total.
     """
-    k = math.sin(0.5 * phi)
-    k2 = k * k
+    k, cos_phi = math.sin(0.5 * phi), math.cos(phi)
     strength = 2.0 * pend.mass**2 * pend.gravity * pend.length * beta
-
-    def elliptic(u: float) -> float:
-        s = k * math.sin(u)
-        return 1.0 / math.sqrt(1.0 - s * s)
-
-    singular = _quad_smooth(elliptic, 0.0, 0.5 * math.pi, rel_tol)
-
-    remainder = 0.0
-    if strength != 0.0:
-
-        def deformation_term(u: float) -> float:
-            sin_u = math.sin(u)
-            s = k * sin_u
-            theta = 2.0 * math.asin(s)
-            height = 2.0 * k2 * (math.cos(u) ** 2)  # cos(theta) - cos(phi)
-            z = strength * height / math.cos(theta) ** 2
-            weight = z if linearized else z / (1.0 + z)
-            return weight / math.sqrt(1.0 - s * s)
-
-        remainder = _quad_smooth(deformation_term, 0.0, 0.5 * math.pi, rel_tol)
-
-    prefactor = 2.0 * math.sqrt(2.0) * math.sqrt(2.0 * pend.length / pend.gravity)
-    return prefactor * (singular - remainder)
+    layer = cos_phi / (k * math.sqrt(2.0 * strength)) if strength else math.pi
+    if not layer > 0.0:
+        raise QuadratureError("the deformation strength 2 m^2 g L beta overflows")
+    count = max(0, math.ceil(math.log(0.5 * math.pi / layer, 4.0)))
+    edges = np.append(np.append(0.0, layer * 4.0 ** np.arange(count)), 0.5 * math.pi)
+    lo, hi, total, panels = edges[:-1], edges[1:], 0.0, count + 1
+    while lo.size:
+        if panels > _MAX_PANELS:
+            raise QuadratureError(f"quadrature needs more than {_MAX_PANELS} panels "
+                                  f"for rel_tol {rel_tol:.2e}")
+        half = 0.5 * (hi - lo)[:, None]
+        lift = 2.0 * (k * np.sin(lo[:, None] + half * (_NODES + 1.0))) ** 2
+        z = strength * lift / (cos_phi + lift) ** 2  # lift = cos(theta) - cos(phi)
+        weight = 1.0 - z if linearized else 1.0 / (1.0 + z)
+        values = half * weight / np.sqrt(math.cos(0.5 * phi) ** 2 + 0.5 * lift)
+        coarse, fine = values[:, :20] @ _RULE_20[1], values[:, 20:] @ _RULE_40[1]
+        split = np.abs(fine - coarse) > rel_tol * abs(total + fine.sum())
+        total += fine[~split].sum()
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.append(lo[split], mid), np.append(mid, hi[split])
+        panels += mid.size
+    return 4.0 * math.sqrt(pend.length / pend.gravity) * total
 
 
 def period_exact_quadrature(
@@ -266,12 +265,12 @@ def period_exact_quadrature(
         T = 2 int_{-phi}^{phi} dtheta
             [cos(theta) sqrt(2 (g/L) f) (1 + 2 m^2 g L f beta)]^(-1)
 
-    with no expansion in beta.  The endpoint singularity is removed
-    analytically, so the two remaining integrands are smooth and the
-    requested relative tolerance is met directly.
+    with f = (cos(theta) - cos(phi)) / cos^2(theta) and no expansion in
+    beta.  The endpoint singularity is removed analytically; the one smooth
+    integrand left is summed on adaptive Gauss-Legendre panels to rel_tol.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
-    return _split_period(pend, beta, phi, rel_tol, linearized=False)
+    return _swing_integral(pend, beta, phi, rel_tol, linearized=False)
 
 
 def period_beta_linearized(
@@ -287,7 +286,7 @@ def period_beta_linearized(
     with the square of the deformation strength.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
-    return _split_period(pend, beta, phi, rel_tol, linearized=True)
+    return _swing_integral(pend, beta, phi, rel_tol, linearized=True)
 
 
 # --- trajectories ----------------------------------------------------------
@@ -385,14 +384,14 @@ def integrate_trajectory(
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     t_end = float(t_end)
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
 
     grid = None
     if times is not None:
         grid = np.asarray(times, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("times must be a non-empty 1-D sequence")
+        if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+            raise ValueError("times must be a non-empty 1-D sequence of finite values")
         if np.any(np.diff(grid) < 0.0) or grid[0] < 0.0 or grid[-1] > t_end:
             raise ValueError("times must be non-decreasing within [0, t_end]")
     sol = _solve_swing(pend, beta, phi, t_end, rel_tol, dense_output=True)

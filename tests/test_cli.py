@@ -511,8 +511,32 @@ class TestPeriod:
             periods[method] = float(out.split("period_s=")[1].split()[0])
         assert periods["--trajectory"] == pytest.approx(periods["--exact"], rel=1e-8)
 
+    def test_exact_matches_trajectory_in_the_turning_point_layer(self, capsys):
+        # two scipy quad integrals subtracted here printed 1.086e-8 s
+        periods = {}
+        for method in ("--exact", "--trajectory"):
+            code, out, err = run(
+                capsys, "period", "--amplitude", "2.99", "--beta0", "1e8", method
+            )
+            assert (code, err) == (0, "")
+            periods[method] = float(out.split("period_s=")[1].split()[0])
+        assert periods["--exact"] == pytest.approx(periods["--trajectory"], rel=1e-6)
+        assert periods["--exact"] == pytest.approx(2.062e-5, rel=1e-3)
+
+    def test_exact_at_the_tightest_tolerance(self, capsys):
+        code, out, err = run(capsys, "period", "--amplitude", "0.2", "--rel-tol", "1.01e-14")
+        assert (code, err) == (0, "")
+        assert float(out.split("period_s=")[1]) == pytest.approx(3.47398855013, rel=1e-11)
+
+    def test_quadrature_panel_cap_is_a_numerical_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.dynamics, "_MAX_PANELS", 1)
+        code, out, err = run(capsys, "period", "--amplitude", "0.35", "--beta0", "1e8")
+        assert (code, out) == (2, "")
+        assert err.startswith("gup: numerical failure: quadrature needs more than 1 panels")
+
     def test_trajectory_csv_sized_without_the_quadrature(self, capsys, in_tmp):
-        # the quadrature's period is about 2e3 times too short here
+        # a grid sized from the old quadrature's 1.086e-8 s period wrote
+        # 972,040 rows here
         code, _, err = run(
             capsys, "period", "--amplitude", "2.99", "--beta0", "1e8",
             "--trajectory", "--out-csv", "swing.csv",
@@ -872,6 +896,14 @@ class TestImports:
         )
         assert self._scipy_loaded_after(code, tmp_path) == "[]"
         assert {p.name for p in tmp_path.iterdir()} == {"fit.json", "b.csv", "b.svg"}
+
+    @pytest.mark.parametrize("method", [[], ["--first-order"]], ids=["exact", "first-order"])
+    def test_period_loads_no_scipy(self, tmp_path, method):
+        code = (
+            "import gup.cli\n"
+            f"assert gup.cli.main(['period', '--amplitude', '0.35', *{method!r}]) == 0"
+        )
+        assert self._scipy_loaded_after(code, tmp_path) == "[]"
 
     def test_quantum_check_loads_no_scipy(self, tmp_path):
         code = "import gup.cli\nassert gup.cli.main(['quantum-check']) == 0"

@@ -23,7 +23,7 @@ from gup.dynamics import (
     trajectory_period,
 )
 
-from conftest import agm_pendulum_period
+from conftest import agm_pendulum_period, composite_pendulum_period
 
 
 class TestDeformationParams:
@@ -173,6 +173,66 @@ class TestPeriodQuadrature:
             period_first_order(experiment, 0.0, experiment.length)
 
 
+# the documented range, out to phi = 1.5705 where large beta0 leaves a thin
+# layer at the turning point
+ORACLE_BETA0 = (0.0, 1e-4, 1.0, 1e3, 1e4, 1e6, 1e8)
+ORACLE_PHI = (0.02, 0.3, 1.0, 1.2, 1.5, 1.55, 1.569, 1.5705)
+
+
+def _oracle_period(pend, beta, phi, linearized):
+    return composite_pendulum_period(
+        pend.mass, pend.length, pend.gravity, beta, phi, linearized=linearized
+    )
+
+
+class TestPeriodOracle:
+    """Both period integrals against the composite Gauss-Legendre oracle."""
+
+    @pytest.mark.parametrize("phi", ORACLE_PHI)
+    @pytest.mark.parametrize("beta0", ORACLE_BETA0)
+    def test_matches_oracle(self, experiment, beta0, phi):
+        beta = DeformationParams(beta0=beta0).effective_beta
+        for func, linearized in ((period_exact_quadrature, False), (period_beta_linearized, True)):
+            oracle = _oracle_period(experiment, beta, phi, linearized)
+            assert func(experiment, beta, phi) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("rel_tol,agreement", [(1.01e-14, 1e-9), (9.9e-4, 1e-3)])
+    @pytest.mark.parametrize("beta0", ORACLE_BETA0)
+    def test_extreme_tolerances_converge(self, experiment, beta0, rel_tol, agreement):
+        # scipy's quad raised QuadratureError at rel_tol 1.01e-14
+        beta = DeformationParams(beta0=beta0).effective_beta
+        for phi in ORACLE_PHI:
+            for func, linearized in (
+                (period_exact_quadrature, False), (period_beta_linearized, True)
+            ):
+                oracle = _oracle_period(experiment, beta, phi, linearized)
+                value = func(experiment, beta, phi, rel_tol=rel_tol)
+                assert value == pytest.approx(oracle, rel=agreement), (phi, linearized)
+
+    def test_oracle_checks_the_layer(self, experiment):
+        # at (1e8, 1.5) the layer holds the whole period: 2.4e-5 s, not 3.5 s
+        beta = DeformationParams(beta0=1e8).effective_beta
+        assert _oracle_period(experiment, beta, 1.5, False) == pytest.approx(2.43e-5, rel=1e-2)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_gauss_legendre_rule(self, n):
+        nodes, weights = dynamics._gauss_legendre(n)
+        reference_nodes, reference_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(nodes, reference_nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(weights, reference_weights, rtol=1e-12)
+
+    @pytest.mark.parametrize("func", [period_exact_quadrature, period_beta_linearized])
+    def test_panel_cap_raises(self, experiment, monkeypatch, func):
+        monkeypatch.setattr(dynamics, "_MAX_PANELS", 1)
+        assert func(experiment, 0.0, 0.3) > 0.0  # one panel suffices undeformed
+        with pytest.raises(QuadratureError, match="more than 1 panels"):
+            func(experiment, DeformationParams(beta0=1e8), 1.5)
+
+    def test_overflowing_deformation_raises(self, experiment):
+        with pytest.raises(QuadratureError, match="overflows"):
+            period_exact_quadrature(experiment, DeformationParams(beta0=1e308), 0.1)
+
+
 class TestTrajectory:
     @pytest.mark.parametrize("phi,beta0", [(0.05, 0.0), (0.3, 0.0), (1.2, 0.0)])
     def test_period_matches_quadrature_undeformed(self, experiment, phi, beta0):
@@ -271,6 +331,18 @@ class TestTrajectory:
     def test_rejects_non_positive_horizon(self, experiment):
         with pytest.raises(ValueError):
             integrate_trajectory(experiment, 0.0, 0.3, 0.0)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_horizon(self, experiment, t_end):
+        # a NaN or infinite horizon used to hang inside solve_ivp
+        with pytest.raises(ValueError, match="finite"):
+            integrate_trajectory(experiment, 0.0, 0.3, t_end)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, experiment, bad):
+        # a NaN time used to come back as a silent NaN row
+        with pytest.raises(ValueError, match="finite"):
+            integrate_trajectory(experiment, 0.0, 0.3, 1.0, times=[0.0, bad, 1.0])
 
     def test_deformation_separates_trajectories(self, experiment):
         # a tiny deformation must produce a small but non-zero drift
@@ -404,7 +476,7 @@ class TestIntegratorLookup:
         (lambda pend: trajectory_period(pend, 0.0, 0.1), 1, False),
         (lambda pend: integrate_oscillator_trajectory(
             1.0, 1.0, 1e-3, 0.5, [0.0, 1.0, 2.0]), 1, False),
-        (lambda pend: period_exact_quadrature(pend, 0.0, 0.1), 0, True),
+        (lambda pend: period_exact_quadrature(pend, 0.0, 0.1), 0, False),
         (lambda pend: integrate_trajectory(pend, 0.0, 0.1, 1.0), 1, False),
     ], ids=["trajectory_period", "integrate_oscillator_trajectory",
             "period_exact_quadrature", "integrate_trajectory"])
