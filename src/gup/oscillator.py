@@ -183,14 +183,14 @@ def build_truncated_operators(
     return TruncatedOperators(model=model, dimension=dimension, a=a, x=x, p=p, h=h)
 
 
-def _gk_log_terms(model: OscillatorModel, J: float, count: int) -> np.ndarray:
-    """log(J^n / rho_n) for n < count, with rho_n = prod_{k<=n} e_k."""
-    if count < 1:
-        raise ValueError("count must be positive")
+def _gk_log_terms(model: OscillatorModel, J: float, count: int, steps=None) -> np.ndarray:
+    """log(J^n / rho_n) for n < count, with rho_n = prod_{k<=n} e_k; steps holds
+    the log(J / e_n) already taken, from n = 1 on, and is extended in place."""
+    steps = [] if steps is None else steps
     log_j = math.log(J) if J > 0.0 else -math.inf
     # math.log per level: np.log can differ from it in the last bit
-    nu = model.ladder_deformation
-    steps = [log_j - math.log(v) for v in _level_eigenvalues(nu, count)[1:]]
+    e = _level_eigenvalues(model.ladder_deformation, count)[len(steps) + 1:]
+    steps += [log_j - v for v in map(math.log, e.tolist())]
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
@@ -203,9 +203,9 @@ def _gk_weights(model: OscillatorModel, J: float) -> tuple:
     """The GK weight table: converged log-terms less their peak, the sum of
     their weights, and the smallest dimension that keeps the tail mass below
     1e-12 of that sum out of the buffer levels (at least 8)."""
-    log_terms, count = np.zeros(1), 64
+    log_terms, count, steps = np.zeros(1), 64, []
     while J != 0.0:
-        log_terms = _gk_log_terms(model, J, count)
+        log_terms = _gk_log_terms(model, J, count, steps)
         # converged once the last term is negligible and not increasing
         # (-inf twice where the eigenvalues overflow)
         if log_terms[-1] < np.max(log_terms) - 60.0 and log_terms[-1] <= log_terms[-2]:
@@ -267,9 +267,13 @@ def gazeau_klauder_state(
     _check_j(J)
     if dimension is not None and dimension < 8:
         raise ValueError("dimension must be at least 8")
-    log_terms, total, smallest = _gk_weights(model, J)
-    if dimension is None:
-        dimension = smallest
+    return _gk_state(model, J, gamma, dimension, _gk_weights(model, J))
+
+
+def _gk_state(model: OscillatorModel, J: float, gamma: float, dimension, table) -> GKState:
+    """|J, gamma> from table, the _gk_weights of model at J."""
+    log_terms, total, smallest = table
+    dimension = smallest if dimension is None else dimension
     if dimension < smallest:
         raise TruncationError(
             f"dimension {dimension} leaves more than {_GK_TAIL_TOLERANCE:g} "
@@ -487,7 +491,8 @@ def invariant_checks(
         # the beta/2 state needs at least as many levels as the beta state
         v_half = gazeau_klauder_state(half, J, 0.0, dimension).amplitudes
         dim = v_half.size
-        state = gazeau_klauder_state(model, J, 0.0, dim)
+        table = _gk_weights(model, J)  # temporal stability rebuilds the state from it too
+        state = _gk_state(model, J, 0.0, dim, table)
         h_exp, x_full = _band_expectations(model, state.amplitudes, times)
         x_half = _band_expectations(half, v_half, times)[1]
         residuals, roundoff = _commutator_residuals(model, dim)
@@ -520,7 +525,7 @@ def invariant_checks(
 
     t_probe = 2.345 / model.omega
     evolved = evolve_gk(state, t_probe)
-    rebuilt = gazeau_klauder_state(model, J, model.omega * t_probe, dim)
+    rebuilt = _gk_state(model, J, model.omega * t_probe, dim, table)
     drift = float(np.max(np.abs(evolved.amplitudes - rebuilt.amplitudes)))
     yield InvariantCheck(
         "temporal stability", drift < 1e-12, drift, f"drift={drift:.3e} tol=1e-12"

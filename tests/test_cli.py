@@ -610,9 +610,9 @@ class TestQuantumCheck:
             "state's weight in or beyond the top 4 levels\n"
         )
 
-    def test_builds_three_gk_weight_tables(self, capsys, monkeypatch):
-        # the beta/2 state, the beta state and the rebuilt state of the
-        # temporal-stability check; the space is sized from the first
+    def test_builds_two_gk_weight_tables(self, capsys, monkeypatch):
+        # the beta/2 state and the beta state; the space is sized from the
+        # first, and the temporal-stability check rebuilds from the second
         tables = []
         original = oscillator._gk_weights
 
@@ -623,7 +623,7 @@ class TestQuantumCheck:
         monkeypatch.setattr(oscillator, "_gk_weights", counting)
         code, _, _ = run(capsys, "quantum-check")
         assert code == 0
-        assert tables == [(2.5e-6, 4.0), (5e-6, 4.0), (5e-6, 4.0)]
+        assert tables == [(2.5e-6, 4.0), (5e-6, 4.0)]
 
     def test_zero_beta_refused_before_any_check(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -856,6 +856,65 @@ class TestScenarios:
         root = ElementTree.parse(in_tmp / "b.svg").getroot()
         texts = [el.text for el in root.iter() if el.tag.endswith("text")]
         assert texts[-3:] == ["bad\\x01label\\x0b", "nul\\x00and\\ufffe", "tab\tkept"]
+
+
+class TestParserReuse:
+    """main builds the parser once per process and parses every argv afresh."""
+
+    SEQUENCE = (
+        ["fit"],
+        ["fit", "--config", "conf.json"],
+        ["exclusion"],
+        ["period", "--amplitude", "0.1", "--first-order"],
+        ["period", "--amplitude", "0.1"],
+        ["period", "--amplitude", "0.1", "--exact", "--first-order"],
+        ["--help"],
+        ["--help"],
+    )
+
+    def outcomes(self, capsys, fresh):
+        calls = []
+        for argv in self.SEQUENCE:
+            if fresh:
+                cli.build_parser.cache_clear()
+            calls.append(run(capsys, *argv))
+        return calls
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, in_tmp, monkeypatch):
+        monkeypatch.delenv("GUP_CONFIG", raising=False)
+        (in_tmp / "conf.json").write_text(json.dumps({"fit": {"confidence_level": 0.9}}))
+        cli.build_parser.cache_clear()
+        reused = self.outcomes(capsys, fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused == self.outcomes(capsys, fresh=True)
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 1, 0, 0]
+        assert "90% CI" in reused[1][1] and "95% CI" in reused[0][1]
+        assert reused[3][1].startswith("method=first-order")
+        assert reused[4][1].startswith("method=exact")
+
+    def test_import_builds_no_parser(self):
+        # the first main call builds the parser, so start-up time does not hold it
+        env = dict(os.environ, PYTHONPATH=str(Path(gup.__file__).parents[1]))
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import gup.cli\n"
+            "print(len(built))\n"
+            "for _ in range(2):\n"
+            "    gup.cli.main(['scenarios', 'list'])\n"
+            "print(built.count('gup'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        lines = result.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("0", "1")
 
 
 class TestImports:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -344,6 +345,24 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="finite"):
             integrate_trajectory(experiment, 0.0, 0.3, 1.0, times=[0.0, bad, 1.0])
 
+    @pytest.mark.parametrize("beta0", [0.0, 1e6])
+    def test_refuses_span_past_period_cap(self, experiment, beta0):
+        # t_end = 1e12 s used to run for minutes towards some 7e13 rows
+        deformation = DeformationParams(beta0=beta0)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most 1000 periods"):
+            integrate_trajectory(experiment, deformation, 0.3, 1e12)
+        assert time.perf_counter() - start < 1.0
+
+    def test_period_cap_uses_the_deformed_period(self, experiment):
+        # beta0 = 1e6 shortens the period about 50-fold: 1,001 deformed periods
+        # last less than 100 undeformed ones
+        deformation = DeformationParams(beta0=1e6)
+        period = trajectory_period(experiment, deformation, 0.05)
+        assert 1001.0 * period < 100.0 * trajectory_period(experiment, 0.0, 0.05)
+        with pytest.raises(ValueError, match="spans 1e\\+03 periods"):
+            integrate_trajectory(experiment, deformation, 0.05, 1001.0 * period)
+
     def test_deformation_separates_trajectories(self, experiment):
         # a tiny deformation must produce a small but non-zero drift
         phi = 0.05
@@ -449,6 +468,13 @@ class TestOscillatorTrajectory:
         k = len(sign_flips)
         measured_omega = (0.25 + (k - 1)) * 2.0 * math.pi / t_cross
         assert measured_omega - omega == pytest.approx(shift, rel=0.05)
+
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf]],
+                             ids=["nan", "inf"])
+    def test_rejects_non_finite_times(self, times):
+        # a NaN time used to return fewer values than times, an infinite one to hang
+        with pytest.raises(ValueError, match="finite"):
+            integrate_oscillator_trajectory(1.0, 1.0, 1e-3, 0.5, times)
 
     def test_rejects_non_positive_arguments(self):
         for mass, omega, amp in [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)]:

@@ -90,6 +90,19 @@ class TestSpectrum:
                 ), (beta, J, count)
 
 
+    @pytest.mark.parametrize("J,count", [
+        (4.0, 64), (20.0, 128), (80.0, 256), (200.0, 512), (500.0, 1024),
+        (1000.0, 2048), (2500.0, 4096),
+    ])
+    def test_weight_table_matches_level_loop(self, J, count):
+        # the table logs each level once across its doublings and must stop
+        # where, and equal what, the sequential loop gives, bit for bit
+        model = model_units(beta=1e-6)
+        log_terms = oscillator._gk_weights(model, J)[0]
+        assert len(log_terms) == count
+        reference = gk_log_terms_loop(model, J, count)
+        assert np.array_equal(log_terms, reference - np.max(reference))
+
 @pytest.fixture(scope="module")
 def ops():
     return build_truncated_operators(model_units(beta=2e-4), 40)
