@@ -21,9 +21,9 @@ x = L sin(theta) and ptilde, with
 
 that is, p^2 c^2 / (2 m) - m g L c, with p = ptilde at beta = 0.
 Hamilton's equations in (x, ptilde) are smooth through the turning
-points, where ptilde passes through zero, so a whole swing is one
-high-order solve; zero crossings are events on x and turning points
-events on ptilde.
+points, where ptilde passes through zero.  The swing is even in time and
+in x, so one high-order solve from rest to the first zero crossing, a
+quarter period, fixes the whole motion.
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ class PendulumConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite")
+        # the deformation strength scales with it, and mass**2 would raise OverflowError
+        if not math.isfinite(self.mass * self.mass * self.gravity * self.length):
+            raise ValueError(f"m^2 g L overflows float64 at mass {self.mass:g} kg")
 
     @property
     def small_period(self) -> float:
@@ -180,7 +183,8 @@ def period_first_order(
         T = 2 pi sqrt(L/g) (1 + A^2/(16 L^2) - beta m^2 g A^2 / (2 L))
 
     with A the displacement amplitude in metres, A < L.  The deformation
-    shortens the period, opposing the usual anharmonic lengthening.
+    shortens the period, opposing the usual anharmonic lengthening; past
+    1 + A^2/(16 L^2) it makes T non-positive, which is not refused.
     """
     beta = _as_beta(deformation)
     amplitude = float(amplitude)
@@ -283,7 +287,8 @@ def period_beta_linearized(
 
     Companion to period_exact_quadrature for quantifying how much the
     first-order treatment misses; the difference between the two scales
-    with the square of the deformation strength.
+    with the square of the deformation strength.  Once z passes 1 the
+    weight 1 - z goes negative, and so can T; this is not refused.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     return _swing_integral(pend, beta, phi, rel_tol, linearized=True)
@@ -291,8 +296,8 @@ def period_beta_linearized(
 
 # --- trajectories ----------------------------------------------------------
 
-# integrate_trajectory's longest span: 1,000 periods solve in about 7 s (beta0 0,
-# phi 0.3) to 32 s (beta0 1e6, phi 0.05) on a 2-core x86 machine
+# integrate_trajectory's longest span; one solve covers any span, so this bounds
+# the rows of its default grid (256 per period), not its solve time
 _MAX_PERIODS = 1_000
 
 
@@ -307,24 +312,16 @@ def _physical_momentum(ptilde: float, root: float) -> tuple[float, float]:
     return math.tan(u) / root, 1.0 / math.cos(u) ** 2
 
 
-def _solve_swing(
-    pend: PendulumConfig,
-    beta: float,
-    phi: float,
-    t_end: float,
-    rel_tol: float,
-    dense_output: bool = False,
-    first_crossing: bool = False,
+def _quarter_swing(
+    pend: PendulumConfig, beta: float, phi: float, rel_tol: float, dense_output: bool = False
 ):
-    """One DOP853 solve of the swing in the canonical pair (x, ptilde).
+    """One DOP853 solve of the swing from rest to its first zero crossing t_1.
 
-    Evolves Hamilton's equations for
-
-        H = p(ptilde)^2 c^2 / (2 m) - m g L c,   c = sqrt(1 - x^2 / L^2),
-
-    released from rest at x = L sin(phi).  Event 0 is x = 0 (zero
-    crossings in either direction; with first_crossing the first one ends
-    the solve), event 1 is ptilde = 0 (turning points, from t = 0 on).
+    Evolves Hamilton's equations in (x, ptilde) for H = p(ptilde)^2 c^2 / (2 m)
+    - m g L c, c = sqrt(1 - x^2 / L^2), from rest at x = L sin(phi), to the
+    terminal event x = 0.  Its span is a fifth past t_1 <= (pi/2) sqrt(L/g) /
+    cos(phi/2) (K(k) <= (pi/2) / sqrt(1 - k^2), and the deformation only
+    shortens the swing), so no quadrature is used.
     """
     mass, length = pend.mass, pend.length
     weight = mass * pend.gravity
@@ -343,28 +340,28 @@ def _solve_swing(
 
     def crossing(t, state):
         return state[0]
-    crossing.terminal = first_crossing
-
-    def turning(t, state):
-        return state[1]
+    crossing.terminal = True
 
     x0 = length * math.sin(phi)
     # momentum at the bottom of the swing, m sqrt(2 g L (1 - cos(phi)))
     p_max = 2.0 * mass * math.sin(0.5 * phi) * math.sqrt(pend.gravity * length)
     ptilde_max = momentum_remap(p_max, beta)
+    span = 0.6 * math.pi * math.sqrt(length / pend.gravity) / math.cos(0.5 * phi)
     from scipy import integrate
     sol = integrate.solve_ivp(
         rhs,
-        (0.0, t_end),
+        (0.0, span),
         (x0, 0.0),
         method="DOP853",
         rtol=rel_tol,
         atol=(rel_tol * 1e-2 * x0, rel_tol * 1e-2 * ptilde_max),
         dense_output=dense_output,
-        events=[crossing, turning],
+        events=crossing,
     )
     if sol.status < 0:
         raise TrajectoryError(f"swing integration failed: {sol.message}")
+    if sol.status != 1:
+        raise TrajectoryError("the swing did not reach a zero crossing")
     return sol
 
 
@@ -376,33 +373,22 @@ def integrate_trajectory(
     rel_tol: float = 1e-10,
     times: "Sequence[float] | None" = None,
 ) -> np.ndarray:
-    """Integrate a swing released from rest at theta = +phi.
+    """Sample a swing released from rest at theta = +phi.
 
     Returns a read-only (n, 3) float64 array of (time, angle, displacement)
-    rows, displacement being the bob's horizontal coordinate L sin(angle).
-    Hamilton's equations are integrated in the canonical pair (x, ptilde),
-    smooth through the turning points, in one high-order solve whose dense
-    output gives theta = asin(x / L).  Unless explicit times are given, rows
-    lie on a uniform grid of 256 per period 4 t_1, t_1 being the solve's
-    first zero crossing (at least 64); they are monotone in time either way.
-    A t_end past _MAX_PERIODS periods raises ValueError before the solve.
+    rows, displacement being the bob's horizontal coordinate x = L sin(angle).
+    One quarter swing is solved, to its first zero crossing t_1, and the
+    motion, even in time and in x with period 4 t_1, is unfolded from its
+    dense output: t maps to s = |((t + 2 t_1) mod 4 t_1) - 2 t_1| in
+    [0, 2 t_1], and x(t) = x(s) for s <= t_1, -x(2 t_1 - s) beyond.  Unless
+    explicit times are given, rows lie on a uniform grid of 256 per period
+    (at least 64); they are monotone in time either way.  A t_end past
+    _MAX_PERIODS periods raises ValueError.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     t_end = float(t_end)
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
-    # |dx/dt| = |p c| c (1 + beta p^2) / m <= v_max as |p c| <= p_max and c >= cos(phi),
-    # so t_1 >= L sin(phi) / v_max; only a span past the cap at that bound times t_1
-    p_max = 2.0 * pend.mass * math.sin(0.5 * phi) * math.sqrt(pend.gravity * pend.length)
-    v_max = p_max / pend.mass * (1.0 + beta * p_max * p_max / math.cos(phi) ** 2)
-    if t_end * v_max > 4.0 * _MAX_PERIODS * pend.length * math.sin(phi):
-        period = trajectory_period(pend, beta, phi, rel_tol)
-        if t_end > _MAX_PERIODS * period:
-            raise ValueError(
-                f"t_end = {t_end:g} s spans {t_end / period:.3g} periods of {period:.6g} s; "
-                f"at most {_MAX_PERIODS} periods (256 rows each) are integrated"
-            )
-
     grid = None
     if times is not None:
         grid = np.asarray(times, dtype=float)
@@ -410,13 +396,19 @@ def integrate_trajectory(
             raise ValueError("times must be a non-empty 1-D sequence of finite values")
         if np.any(np.diff(grid) < 0.0) or grid[0] < 0.0 or grid[-1] > t_end:
             raise ValueError("times must be non-decreasing within [0, t_end]")
-    sol = _solve_swing(pend, beta, phi, t_end, rel_tol, dense_output=True)
+    sol = _quarter_swing(pend, beta, phi, rel_tol, dense_output=True)
+    t_1 = float(sol.t_events[0][0])
+    if t_end > 4.0 * _MAX_PERIODS * t_1:
+        raise ValueError(
+            f"t_end = {t_end:g} s spans {t_end / (4.0 * t_1):.3g} periods of {4.0 * t_1:.6g} s; "
+            f"at most {_MAX_PERIODS} periods (256 rows each) are sampled"
+        )
     if grid is None:
-        # with no crossing before t_end, t_end < t_1 and the floor of 64 holds
-        crossings = sol.t_events[0]
-        count = max(64, round(64 * t_end / crossings[0])) if len(crossings) else 64
-        grid = np.linspace(0.0, t_end, count)
-    displacements = sol.sol(grid)[0]
+        grid = np.linspace(0.0, t_end, max(64, round(64 * t_end / t_1)))
+    s = np.abs(np.mod(grid + 2.0 * t_1, 4.0 * t_1) - 2.0 * t_1)
+    beyond = s > t_1  # past the crossing, x = -x(2 t_1 - s)
+    x = sol.sol(np.where(beyond, 2.0 * t_1 - s, s))[0]
+    displacements = np.where(beyond, -x, x)
     angles = np.arcsin(displacements / pend.length)
     samples = np.column_stack((grid, angles, displacements))
     samples.flags.writeable = False
@@ -433,16 +425,10 @@ def trajectory_period(
 
     H(x, ptilde) is even in x and in ptilde and the bob starts from rest, so
     the motion is symmetric in time and in x.  The solver locates t_1 by root
-    finding on its dense output and stops there.  Its span is a fifth past
-    t_1 <= (pi/2) sqrt(L/g) / cos(phi/2) (K(k) <= (pi/2) / sqrt(1 - k^2), and
-    the deformation only shortens the swing), so no quadrature is used.
+    finding on its dense output and stops there; see _quarter_swing.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
-    span = 0.6 * math.pi * math.sqrt(pend.length / pend.gravity) / math.cos(0.5 * phi)
-    sol = _solve_swing(pend, beta, phi, span, rel_tol, first_crossing=True)
-    if sol.status != 1:
-        raise TrajectoryError("the swing did not reach a zero crossing")
-    return 4.0 * float(sol.t_events[0][0])
+    return 4.0 * float(_quarter_swing(pend, beta, phi, rel_tol).t_events[0][0])
 
 
 def integrate_oscillator_trajectory(

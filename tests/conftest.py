@@ -89,6 +89,41 @@ def composite_pendulum_period(
     return 4.0 * float(half @ (integrand @ weights))
 
 
+def pendulum_zero_crossings(
+    mass: float, length: float, gravity: float, beta: float, phi: float, t_end: float
+) -> np.ndarray:
+    """Times of every zero crossing in [0, t_end] of a swing released from rest.
+
+    Integrates the angle theta and the physical momentum p of
+    H = p^2 cos^2(theta) / (2 m) - m g L cos(theta) under
+    {x, p} = 1 + beta p^2, x = L sin(theta):
+
+        dtheta/dt = (1 + beta p^2) p cos(theta) / (m L),
+        dp/dt = (1 + beta p^2) (p^2 sin(theta) / (m L) - m g tan(theta)),
+
+    with scipy's DOP853 at rtol 1e-12, over whole periods and with no
+    symmetry used.  Independent of the package under test, which evolves
+    (x, arctan(sqrt(beta) p) / sqrt(beta)) over a quarter swing.
+    """
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, state):
+        theta, p = state
+        stretch = 1.0 + beta * p * p
+        return (stretch * p * math.cos(theta) / (mass * length),
+                stretch * (p * p * math.sin(theta) / (mass * length)
+                           - mass * gravity * math.tan(theta)))
+
+    def crossing(t, state):
+        return state[0]
+
+    p_scale = mass * math.sqrt(gravity * length) * phi
+    sol = solve_ivp(rhs, (0.0, t_end), (phi, 0.0), method="DOP853", rtol=1e-12,
+                    atol=(1e-14 * phi, 1e-14 * p_scale), events=crossing)
+    assert sol.status == 0, sol.message
+    return sol.t_events[0]
+
+
 def pendulum_period_beta_derivative(
     mass: float, length: float, gravity: float, phi: float
 ) -> float:

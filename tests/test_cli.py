@@ -545,6 +545,23 @@ class TestPeriod:
         lines = (in_tmp / "swing.csv").read_text().splitlines()
         assert len(lines) == 1 + 512
 
+    @pytest.mark.parametrize("beta0", ["0", "1"])
+    @pytest.mark.parametrize("mass", ["1e160", "1e200"])
+    @pytest.mark.parametrize("method", ["--exact", "--first-order", "--trajectory"])
+    def test_overflowing_pendulum_refused(self, capsys, method, mass, beta0):
+        # m^2 overflowed float64: a traceback from mass**2, or scipy warnings
+        # and exit 2 from the swing
+        code, out, err = run(
+            capsys, "period", "--amplitude", "0.2", "--mass", mass, "--beta0", beta0, method
+        )
+        assert (code, out) == (1, "")
+        assert err == f"gup: error: m^2 g L overflows float64 at mass {float(mass):g} kg\n"
+
+    def test_heavy_pendulum_still_timed(self, capsys):
+        code, out, err = run(capsys, "period", "--amplitude", "0.2", "--mass", "1e150", "--exact")
+        assert (code, err) == (0, "")
+        assert out.endswith("\nperiod_s=3.47398855013\n")
+
     def test_exact_rejects_zero_amplitude(self, capsys):
         code, _, err = run(capsys, "period", "--amplitude", "0")
         assert code == 1

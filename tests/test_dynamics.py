@@ -24,7 +24,7 @@ from gup.dynamics import (
     trajectory_period,
 )
 
-from conftest import agm_pendulum_period, composite_pendulum_period
+from conftest import agm_pendulum_period, composite_pendulum_period, pendulum_zero_crossings
 
 
 class TestDeformationParams:
@@ -61,6 +61,12 @@ class TestPendulumConfig:
         kwargs = {"mass": 1.0, "length": 1.0, "gravity": 9.8, field: 0.0}
         with pytest.raises(ValueError):
             PendulumConfig(**kwargs)
+
+    @pytest.mark.parametrize("mass", [1e160, 1e200])
+    def test_rejects_overflowing_strength(self, mass):
+        # mass**2 used to raise OverflowError in the period formulas
+        with pytest.raises(ValueError, match=r"m\^2 g L overflows"):
+            PendulumConfig(mass=mass, length=2.9954, gravity=9.80393)
 
 
 class TestMomentumRemap:
@@ -288,40 +294,49 @@ class TestTrajectory:
         np.testing.assert_allclose(samples[:, 1], phi * np.cos(omega * ts), atol=2e-6 * phi + 1e-6)
 
     @staticmethod
-    def turning_point_energies(pend, beta, phi):
-        """(time, energy) at each turning point of a 2.3-period swing.
+    def quarter_swing_energies(pend, beta, phi):
+        """t_1 and H(x, ptilde) at 200 times of the quarter swing to t_1.
 
-        ptilde vanishes there, so the energy is -m g L cos(theta).
+        H = tan^2(sqrt(beta) ptilde) c^2 / (2 m beta) - m g L c, c^2 = 1 - x^2 / L^2,
+        with tan(sqrt(beta) ptilde) / sqrt(beta) = ptilde at beta = 0.
         """
-        period = period_exact_quadrature(pend, beta, phi)
-        sol = dynamics._solve_swing(pend, beta, phi, 2.3 * period, 1e-11)
-        scale = pend.mass * pend.gravity * pend.length
-        return [
-            (t, -scale * math.sqrt(1.0 - (x / pend.length) ** 2))
-            for t, (x, _) in zip(sol.t_events[1], sol.y_events[1])
-        ]
+        sol = dynamics._quarter_swing(pend, beta, phi, 1e-11, dense_output=True)
+        t_1 = float(sol.t_events[0][0])
+        x, ptilde = sol.sol(np.linspace(0.0, t_1, 200))
+        p = np.tan(math.sqrt(beta) * ptilde) / math.sqrt(beta) if beta else ptilde
+        c = np.sqrt(1.0 - (x / pend.length) ** 2)
+        return t_1, p**2 * c**2 / (2.0 * pend.mass) - pend.mass * pend.gravity * pend.length * c
 
     def test_energy_conserved_at_turning_points(self, experiment):
         phi = 0.3
-        energies = self.turning_point_energies(experiment, 0.0, phi)
-        assert len(energies) >= 3
+        _, energies = self.quarter_swing_energies(experiment, 0.0, phi)
         reference = -experiment.mass * experiment.gravity * experiment.length * math.cos(phi)
-        for _, energy in energies:
-            assert energy == pytest.approx(reference, rel=1e-9)
+        np.testing.assert_allclose(energies, reference, rtol=1e-9, atol=0.0)
 
     def test_energy_conserved_when_deformed(self, experiment):
         phi = 0.3
         deformation = DeformationParams(beta0=1e4)
-        energies = self.turning_point_energies(
-            experiment, deformation.effective_beta, phi
-        )
+        t_1, energies = self.quarter_swing_energies(experiment, deformation.effective_beta, phi)
         reference = -experiment.mass * experiment.gravity * experiment.length * math.cos(phi)
-        for _, energy in energies:
-            assert energy == pytest.approx(reference, rel=1e-7)
-        # the span covers a few deformed periods, not the undeformed one
-        horizon = 2.3 * period_exact_quadrature(experiment, deformation, phi)
-        assert 3 <= len(energies) <= 5
-        assert all(t < horizon for t, _ in energies)
+        np.testing.assert_allclose(energies, reference, rtol=1e-7, atol=0.0)
+        # the solve ends at the deformed quarter period, not the undeformed one
+        period = period_exact_quadrature(experiment, deformation, phi)
+        assert 4.0 * t_1 == pytest.approx(period, rel=1e-9)
+
+    @pytest.mark.parametrize("beta0,phi", [(1e6, 1.5), (1e8, 0.3), (1e3, 1.0)])
+    def test_no_drift_over_twenty_periods(self, experiment, beta0, phi):
+        # integrating every period let x at the 20th zero crossing drift by up
+        # to 6e-4 of the amplitude at (1e6, 1.5)
+        deformation = DeformationParams(beta0=beta0)
+        period = period_exact_quadrature(experiment, deformation, phi, rel_tol=1e-13)
+        quarters = np.arange(80)
+        samples = integrate_trajectory(
+            experiment, deformation, phi, 20.0 * period, times=quarters * period / 4.0
+        )
+        # zero crossings at odd quarters, turning points at +-L sin(phi) at even ones
+        amplitude = experiment.length * math.sin(phi)
+        expected = amplitude * np.round(np.cos(0.5 * np.pi * quarters))
+        assert np.max(np.abs(samples[:, 2] - expected)) <= 1e-6 * amplitude
 
     def test_rejects_bad_times(self, experiment):
         with pytest.raises(ValueError):
@@ -387,7 +402,9 @@ class TestQuarterSwing:
     def test_matches_spacing_of_same_direction_crossings(self, experiment, beta0, phi):
         beta = DeformationParams(beta0=beta0).effective_beta
         period = period_exact_quadrature(experiment, beta, phi)
-        crossings = dynamics._solve_swing(experiment, beta, phi, 2.3 * period, 1e-10).t_events[0]
+        crossings = pendulum_zero_crossings(
+            experiment.mass, experiment.length, experiment.gravity, beta, phi, 2.3 * period
+        )
         assert len(crossings) == 5
         spacing = float(np.mean(crossings[2:] - crossings[:-2]))
         assert trajectory_period(experiment, beta, phi) == pytest.approx(spacing, rel=1e-9)
@@ -490,6 +507,11 @@ def _counting(counts: dict, name: str, func):
     return counted
 
 
+def _span_of_periods(pend, deformation, phi, periods):
+    period = period_exact_quadrature(pend, deformation, phi)
+    return integrate_trajectory(pend, deformation, phi, periods * period)
+
+
 class TestIntegratorLookup:
     """Solves go through gup.dynamics.integrate, so wrapping it sees them all."""
 
@@ -504,8 +526,11 @@ class TestIntegratorLookup:
             1.0, 1.0, 1e-3, 0.5, [0.0, 1.0, 2.0]), 1, False),
         (lambda pend: period_exact_quadrature(pend, 0.0, 0.1), 0, False),
         (lambda pend: integrate_trajectory(pend, 0.0, 0.1, 1.0), 1, False),
+        # one quarter swing for any span; solving every period would take about 37 s
+        (lambda pend: _span_of_periods(pend, DeformationParams(beta0=1e6), 0.05, 900), 1, False),
     ], ids=["trajectory_period", "integrate_oscillator_trajectory",
-            "period_exact_quadrature", "integrate_trajectory"])
+            "period_exact_quadrature", "integrate_trajectory",
+            "integrate_trajectory_900_periods"])
     def test_wrapped_integrators_are_reached(
         self, monkeypatch, experiment, call, solve_ivp, quad
     ):
