@@ -21,7 +21,6 @@ from .bounds import (
     load_scenarios,
     nucleon_count,
     ratio_bound_from_fit,
-    theoretical_slope,
 )
 from .constants import (
     ATOMIC_MASS_UNIT,

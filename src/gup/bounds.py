@@ -33,7 +33,6 @@ __all__ = [
     "ScenarioError",
     "derived_length",
     "slope_coefficients",
-    "theoretical_slope",
     "ratio_bound_from_fit",
     "nucleon_count",
     "alpha_bound",
@@ -128,16 +127,10 @@ def slope_coefficients(pend: PendulumConfig) -> tuple[float, float]:
     return c0, c1
 
 
-def theoretical_slope(pend: PendulumConfig, ratio: float) -> float:
-    """Predicted slope of period vs displacement-amplitude^2 in s/m^2."""
-    c0, c1 = slope_coefficients(pend)
-    return c0 - ratio * c1
-
-
 def ratio_bound_from_fit(
     fit: LinearFit, pend: PendulumConfig, level: float = 0.95
 ) -> RatioBound:
-    """Invert the theoretical slope over the fitted slope's CI.
+    """Invert the theoretical slope c0 - ratio c1 over the fitted slope's CI.
 
     The admissible ratio interval is [(c0 - s_hi)/c1, (c0 - s_lo)/c1]
     for slope CI [s_lo, s_hi]; a fitted slope above the classical value

@@ -13,8 +13,8 @@ Two systems are covered:
 * the harmonic oscillator that the pendulum turns into in the
   small-amplitude limit, used for classical-limit comparisons.
 
-Both are integrated in their canonical pair.  For the pendulum that is
-x = L sin(theta) and ptilde, with
+The oscillator's motion has a closed form.  The pendulum is integrated in
+its canonical pair x = L sin(theta) and ptilde, with
 
     H(x, ptilde) = tan^2(sqrt(beta) ptilde) c^2 / (2 m beta) - m g L c,
     c = sqrt(1 - x^2 / L^2),
@@ -52,7 +52,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # the ODE solves import scipy.integrate when they run; this keeps
+    # the quarter-swing solve imports scipy.integrate when it runs; this keeps
     # gup.dynamics.integrate naming it for callers that wrap solve_ivp
     if name == "integrate":
         from scipy import integrate
@@ -65,7 +65,7 @@ class QuadratureError(RuntimeError):
 
 
 class TrajectoryError(RuntimeError):
-    """The ODE integrator failed to cover the requested time span."""
+    """A trajectory was not integrated over its span, or misses its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -437,14 +437,15 @@ def integrate_oscillator_trajectory(
     deformation: "float | DeformationParams",
     amplitude: float,
     times: Sequence[float],
-    rel_tol: float = 1e-12,
 ) -> np.ndarray:
-    """Displacement of the deformed harmonic oscillator at given times.
+    """Displacement of the deformed harmonic oscillator at given times, in closed form.
 
-    Evolves H = tan^2(sqrt(beta) ptilde) / (2 m beta) + m omega^2 x^2 / 2
-    in the canonical pair (x, ptilde), released from rest at x =
-    amplitude.  This phase-space form is smooth through the turning
-    points, so a single high-order integration suffices.
+    H = p^2 / (2 m) + m omega^2 x^2 / 2 under {x, p} = 1 + beta p^2, released
+    from rest at x = A.  x = A cos(psi) and p = -m omega A sin(psi) keep the
+    energy, and the bracket gives dpsi/dt = omega (1 + z sin^2 psi), z = beta
+    m^2 omega^2 A^2, so x(t) = A sqrt(1 + z) cos(W t) / sqrt(1 + z cos^2(W t))
+    with W = omega sqrt(1 + z) (Kempf, Mangano & Mann, PRD 52 (1995) 1108).
+    Times may come in any order; a z that is not finite raises ValueError.
     """
     beta = _as_beta(deformation)
     if not (mass > 0.0 and omega > 0.0):
@@ -453,28 +454,13 @@ def integrate_oscillator_trajectory(
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
     grid = np.asarray(times, dtype=float)
-    # solve_ivp drops a NaN time from t_eval and never reaches an infinite one
-    if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid))
-            or np.any(np.diff(grid) < 0.0)):
-        raise ValueError("times must be a non-decreasing 1-D sequence of finite values")
-    root = math.sqrt(beta)
-
-    def rhs(t, state):
-        x, pt = state
-        p, slope = _physical_momentum(pt, root)
-        return (p * slope / mass, -mass * omega**2 * x)
-
-    from scipy import integrate
-    sol = integrate.solve_ivp(
-        rhs,
-        (min(0.0, grid[0]), grid[-1]),
-        (amplitude, 0.0),
-        method="DOP853",
-        rtol=rel_tol,
-        atol=rel_tol * amplitude * 1e-2,
-        t_eval=grid,
-        dense_output=False,
-    )
-    if sol.status != 0:
-        raise TrajectoryError(f"oscillator integration failed: {sol.message}")
-    return sol.y[0].copy()
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError("times must be a non-empty 1-D sequence of finite values")
+    try:
+        z = beta * mass**2 * omega**2 * amplitude**2
+    except OverflowError:  # a float's ** raises where * would give inf
+        z = math.inf
+    if not math.isfinite(z):
+        raise ValueError(f"z = beta m^2 omega^2 A^2 = {z} is not finite")
+    c = np.cos(omega * math.sqrt(1.0 + z) * grid)
+    return amplitude * math.sqrt(1.0 + z) * c / np.sqrt(1.0 + z * c**2)

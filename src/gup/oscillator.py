@@ -9,9 +9,9 @@ so a^dag a has eigenvalues e_n = n (1 + nu + nu n) instead of n.  This
 module builds truncated Fock-space matrices for a, x, p and the ladder
 Hamiltonian and the generalized coherent states |J, gamma> adapted to
 the nonlinear spectrum, together with the first-order closed forms for
-<x> and <p> and the exact classical trajectory they must reach as
-hbar -> 0.  The invariant checks read the operators' bands directly and
-form no matrix.
+<x> and <p>, which must reach dynamics.integrate_oscillator_trajectory,
+the exact classical trajectory, as hbar -> 0.  The invariant checks read
+the operators' bands directly and form no matrix.
 
 x and p are first order in beta, so products of them, and hence the
 residuals of exact identities, carry beta^2 terms.
@@ -366,18 +366,6 @@ def trajectory_x_closed_form(model: OscillatorModel, amplitude: float, t):
     return value if value.ndim else float(value)
 
 
-def _classical_trajectory_x(model: OscillatorModel, amplitude: float, t):
-    """Exact classical x(t) after release from rest at the amplitude; vectorized over t.
-
-    x = A cos(psi) and p = -m w A sin(psi) keep the energy, and {x, p} = 1 + beta p^2
-    gives dpsi/dt = w (1 + z sin^2 psi), z = beta m^2 w^2 A^2, so x(t) =
-    A sqrt(1 + z) cos(W t) / sqrt(1 + z cos^2(W t)) with W = w sqrt(1 + z).
-    """
-    z = model.beta * model.mass**2 * model.omega**2 * amplitude**2
-    c = np.cos(model.omega * math.sqrt(1.0 + z) * np.asarray(t, dtype=float))
-    return amplitude * math.sqrt(1.0 + z) * c / np.sqrt(1.0 + z * c**2)
-
-
 @dataclass(frozen=True)
 class InvariantCheck:
     """One check: value is compared with its tolerance, as detail states."""
@@ -467,13 +455,14 @@ def invariant_checks(
 
     Yields six records in printing order; the default dimension is sized
     for the beta/2 state.  beta = 0, a bad J, J = 0, a beta that overflows
-    the operator bands and one below the float64 resolution of the
-    commutator-scaling check raise ValueError before any record; a
-    dimension too small for either state or more than 1024 levels raise
-    TruncationError there, and z = beta m^2 omega^2 A^2 of 1 or more
-    dynamics.TrajectoryError.  Nothing raises after the first record.  No
-    matrix is formed and no ODE is solved: the hbar->0 check compares with
-    the exact classical trajectory.
+    the operator bands, one below the float64 resolution of the
+    commutator-scaling check and a z = beta m^2 omega^2 A^2 that overflows
+    raise ValueError before any record; a dimension too small for either
+    state or more than 1024 levels raise TruncationError there, and a sixth
+    record that would fail dynamics.TrajectoryError.  Nothing raises after
+    the first record.  No matrix is formed and no ODE is solved: the
+    hbar->0 check compares with the exact classical trajectory,
+    dynamics.integrate_oscillator_trajectory.
     """
     if model.beta == 0.0:
         raise ValueError(
@@ -508,14 +497,21 @@ def invariant_checks(
             f"float64 resolution of the commutator-scaling check at J = {J:g}"
         )
     # the closed forms of <x> at this J (release from rest at this amplitude)
-    # expand in z = beta p^2 at the peak momentum p = m omega A: from z = 1 on
-    # the deformation is as large as the bracket's 1
+    # are first order in z = beta p^2 at the peak momentum p = m omega A; past
+    # about z = 1.9e-4 their O(z^2) gap to the exact motion exceeds the sixth
+    # record's tolerance whatever the matrices hold, so that record decides here
     amplitude = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
-    z = model.beta * model.mass**2 * model.omega**2 * amplitude**2
-    if not z < 1.0:
+    x_exact = dynamics.integrate_oscillator_trajectory(
+        model.mass, model.omega, model.beta, amplitude, times
+    )
+    z = model.beta * model.mass**2 * model.omega**2 * amplitude**2  # finite, as checked there
+    x_closed = trajectory_x_closed_form(classical, amplitude, times)
+    dev = float(np.max(np.abs(x_exact - x_closed)))
+    tol = max(1e-3 * amplitude * z, 1e-13 * amplitude)
+    if not dev < tol:
         raise dynamics.TrajectoryError(
-            f"z = beta m^2 omega^2 A^2 = {z:.3g} at J = {J:g}; the first-order closed "
-            "forms need z < 1, z being beta p^2 at the peak momentum m omega A"
+            f"z = beta m^2 omega^2 A^2 = {z:.3g} at J = {J:g}: the first-order closed form "
+            f"is {dev:.3e} from the exact classical trajectory, past its tolerance {tol:.3e}"
         )
 
     deficit = abs(1.0 - state.norm**2)
@@ -556,10 +552,6 @@ def invariant_checks(
         f"halving-beta ratio={ratio:.3f} expected ~4",
     )
 
-    x_exact = _classical_trajectory_x(model, amplitude, times)
-    x_closed = trajectory_x_closed_form(classical, amplitude, times)
-    dev = float(np.max(np.abs(x_exact - x_closed)))
-    tol = max(1e-3 * amplitude * z, 1e-13 * amplitude)
     yield InvariantCheck(
         "hbar->0 vs exact classical", dev < tol, dev, f"max_dev={dev:.3e} tol={tol:.3e}"
     )

@@ -124,6 +124,36 @@ def pendulum_zero_crossings(
     return sol.t_events[0]
 
 
+def ode_oscillator_trajectory(
+    mass: float, omega: float, beta: float, amplitude: float, times, rel_tol: float = 1e-12
+) -> np.ndarray:
+    """Displacement of the deformed harmonic oscillator at non-decreasing times.
+
+    Evolves H = tan^2(sqrt(beta) ptilde) / (2 m beta) + m omega^2 x^2 / 2
+    in the canonical pair (x, ptilde), released from rest at x = amplitude,
+    with scipy's DOP853.  This phase-space form is smooth through the
+    turning points, so a single high-order integration suffices.
+    Independent of the package under test, which evaluates the closed form.
+    """
+    from scipy.integrate import solve_ivp
+
+    root = math.sqrt(beta)
+
+    def rhs(t, state):
+        x, pt = state
+        if root == 0.0:
+            p, slope = pt, 1.0
+        else:
+            p, slope = math.tan(root * pt) / root, 1.0 / math.cos(root * pt) ** 2
+        return (p * slope / mass, -mass * omega**2 * x)
+
+    grid = np.asarray(times, dtype=float)
+    sol = solve_ivp(rhs, (min(0.0, grid[0]), grid[-1]), (amplitude, 0.0), method="DOP853",
+                    rtol=rel_tol, atol=rel_tol * amplitude * 1e-2, t_eval=grid)
+    assert sol.status == 0, sol.message
+    return sol.y[0].copy()
+
+
 def pendulum_period_beta_derivative(
     mass: float, length: float, gravity: float, phi: float
 ) -> float:

@@ -28,7 +28,6 @@ from gup.bounds import (
 from gup.cli import bundled_dataset_path, load_dataset
 from gup.dynamics import (
     PendulumConfig,
-    integrate_oscillator_trajectory,
     period_exact_quadrature,
     period_first_order,
 )
@@ -44,7 +43,11 @@ from gup.oscillator import (
 )
 
 import conftest
-from conftest import agm_pendulum_period, pendulum_period_beta_derivative
+from conftest import (
+    agm_pendulum_period,
+    ode_oscillator_trajectory,
+    pendulum_period_beta_derivative,
+)
 
 
 def report(num: str, name: str, ok: bool, detail: str) -> bool:
@@ -231,7 +234,7 @@ def test_criterion_8_quantum_classical_equivalence():
     def closed_vs_ode(b: float) -> float:
         model = OscillatorModel(mass=mass, omega=omega, hbar=1e-6, beta=b)
         closed = trajectory_x_closed_form(model, amp, times)
-        ode = integrate_oscillator_trajectory(mass, omega, b, amp, times, rel_tol=1e-12)
+        ode = ode_oscillator_trajectory(mass, omega, b, amp, times, rel_tol=1e-12)
         return float(np.max(np.abs(closed - ode)))
 
     dev = closed_vs_ode(beta)

@@ -698,6 +698,16 @@ class TestQuantumCheck:
         assert err.startswith("gup: error: ") and err.count("\n") == 1
         assert caught == []
 
+    def test_overflowing_deformation_refused_before_any_check(self, capsys):
+        # hbar m omega = hbar / (m omega) = 1 but m^2 overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "quantum-check", "--mass", "1e200", "--omega", "1e-200")
+        assert code == 1
+        assert out == ""
+        assert err == "gup: error: z = beta m^2 omega^2 A^2 = inf is not finite\n"
+        assert caught == []
+
     def test_classical_model_scale_refused_before_any_check(self, capsys):
         # hbar m omega = 1e-200 is representable, 1e-6 of it for the
         # hbar->0 check is not
@@ -707,10 +717,10 @@ class TestQuantumCheck:
         assert out == ""
         assert err.startswith("gup: error: hbar m omega") and err.count("\n") == 1
 
-    # z = beta m^2 omega^2 A^2 = 8 beta at J = 4: the first-order closed forms
-    # mean nothing from z = 1 on, and the hbar->0 check's ODE ran for seconds
-    # at beta = 1e4 before this refusal
-    @pytest.mark.parametrize("beta", ["1e4", "0.125"])
+    # z = beta m^2 omega^2 A^2 = 8 beta at J = 4.  The hbar->0 record's gap,
+    # first-order closed form against exact classical motion, is about
+    # 5.27 A z^2 against a tolerance of 1e-3 A z; it is decided before any record
+    @pytest.mark.parametrize("beta", ["1e4", "0.125", "0.12", "2.5e-5"])
     def test_deformation_past_the_closed_forms_refused(self, capsys, beta):
         start = time.perf_counter()
         code, out, err = run(capsys, "quantum-check", "--beta", beta, "--j", "4")
@@ -719,15 +729,27 @@ class TestQuantumCheck:
         assert out == ""
         assert err.startswith(
             f"gup: numerical failure: z = beta m^2 omega^2 A^2 = {8 * float(beta):.3g} "
+            "at J = 4: the first-order closed form is "
         )
+        assert "from the exact classical trajectory, past its tolerance" in err
         assert err.count("\n") == 1
 
-    def test_deformation_below_the_bound_still_checked(self, capsys):
-        code, out, _ = run(capsys, "quantum-check", "--beta", "0.12", "--j", "4")
-        assert code == 2
-        lines = out.splitlines()
-        assert len(lines) == 7 and lines[-1] == "quantum checks FAILED"
-        assert "hbar->0 vs exact classical" in lines[5]
+    # z = 2 beta J at unit mass, omega and hbar; past z = 1.9e-4 the first-order
+    # closed forms miss the exact classical motion by more than their tolerance
+    @pytest.mark.parametrize("z", [1e-6, 1e-4, 1.4e-4, 2e-4, 1e-2, 0.9])
+    @pytest.mark.parametrize("j", [1.0, 16.0, 100.0, 300.0])
+    def test_deformation_scan_passes_or_refuses(self, capsys, z, j):
+        code, out, err = run(capsys, "quantum-check", "--beta", repr(z / (2.0 * j)),
+                             "--j", repr(j))
+        if z < 1.9e-4:
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert len(lines) == 7 and lines[-1] == "all quantum checks passed"
+            assert all(line.startswith("PASS  ") for line in lines[:6])
+        else:
+            assert code == 2
+            assert out == ""
+            assert err.startswith("gup: numerical failure: z = ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("j", ["nan", "inf"])
     def test_non_finite_action_refused(self, capsys, j):
@@ -983,6 +1005,13 @@ class TestImports:
 
     def test_quantum_check_loads_no_scipy(self, tmp_path):
         code = "import gup.cli\nassert gup.cli.main(['quantum-check']) == 0"
+        assert self._scipy_loaded_after(code, tmp_path) == "[]"
+
+    def test_oscillator_trajectory_loads_no_scipy(self, tmp_path):
+        code = (
+            "import gup.dynamics\n"
+            "gup.dynamics.integrate_oscillator_trajectory(1.0, 1.0, 1e-3, 0.5, [0.0, 1.0])"
+        )
         assert self._scipy_loaded_after(code, tmp_path) == "[]"
 
     @pytest.mark.parametrize(

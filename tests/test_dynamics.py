@@ -466,7 +466,7 @@ class TestQuarterSwing:
 class TestOscillatorTrajectory:
     def test_zero_beta_is_cosine(self):
         ts = np.linspace(0.0, 4.0 * math.pi, 300)
-        x = integrate_oscillator_trajectory(1.3, 2.0, 0.0, 0.7, ts, rel_tol=1e-12)
+        x = integrate_oscillator_trajectory(1.3, 2.0, 0.0, 0.7, ts)
         np.testing.assert_allclose(x, 0.7 * np.cos(2.0 * ts), atol=1e-9)
 
     def test_frequency_shift_matches_formula(self):
@@ -477,7 +477,7 @@ class TestOscillatorTrajectory:
         n_cycles = 40
         t_probe = n_cycles * 2.0 * math.pi / omega
         ts = np.linspace(0.0, t_probe, 4000)
-        x = integrate_oscillator_trajectory(mass, omega, beta, amp, ts, rel_tol=1e-12)
+        x = integrate_oscillator_trajectory(mass, omega, beta, amp, ts)
         # locate the last downward zero crossing and infer the shifted period
         sign_flips = np.nonzero((x[:-1] > 0.0) & (x[1:] <= 0.0))[0]
         i = sign_flips[-1]
@@ -489,9 +489,23 @@ class TestOscillatorTrajectory:
     @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf]],
                              ids=["nan", "inf"])
     def test_rejects_non_finite_times(self, times):
-        # a NaN time used to return fewer values than times, an infinite one to hang
         with pytest.raises(ValueError, match="finite"):
             integrate_oscillator_trajectory(1.0, 1.0, 1e-3, 0.5, times)
+
+    # beta m^2 omega^2 A^2 overflows, or is 0 * inf
+    @pytest.mark.parametrize("mass,omega,beta,amp", [
+        (1e200, 1.0, 1.0, 1.0), (1.0, 1e10, 1e300, 1.0), (1.0, 1.0, 0.0, math.inf),
+    ])
+    def test_rejects_non_finite_deformation(self, mass, omega, beta, amp):
+        with pytest.raises(ValueError, match=r"^z = beta m\^2 omega\^2 A\^2 = (inf|nan) "):
+            integrate_oscillator_trajectory(mass, omega, beta, amp, [0.0, 1.0])
+
+    def test_unsorted_times_match_the_sorted_grid(self, rng):
+        ts = rng.uniform(-20.0, 20.0, 101)
+        order = np.argsort(ts)
+        x = integrate_oscillator_trajectory(1.3, 2.0, 0.3, 0.7, ts)
+        sorted_x = integrate_oscillator_trajectory(1.3, 2.0, 0.3, 0.7, ts[order])
+        assert np.array_equal(x[order], sorted_x)
 
     def test_rejects_non_positive_arguments(self):
         for mass, omega, amp in [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)]:
@@ -523,7 +537,7 @@ class TestIntegratorLookup:
     @pytest.mark.parametrize("call,solve_ivp,quad", [
         (lambda pend: trajectory_period(pend, 0.0, 0.1), 1, False),
         (lambda pend: integrate_oscillator_trajectory(
-            1.0, 1.0, 1e-3, 0.5, [0.0, 1.0, 2.0]), 1, False),
+            1.0, 1.0, 1e-3, 0.5, [0.0, 1.0, 2.0]), 0, False),
         (lambda pend: period_exact_quadrature(pend, 0.0, 0.1), 0, False),
         (lambda pend: integrate_trajectory(pend, 0.0, 0.1, 1.0), 1, False),
         # one quarter swing for any span; solving every period would take about 37 s

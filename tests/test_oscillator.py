@@ -30,6 +30,7 @@ from conftest import (
     dense_commutator_residual,
     dense_truncated_operators,
     gk_log_terms_loop,
+    ode_oscillator_trajectory,
 )
 
 
@@ -422,8 +423,10 @@ class TestExactClassicalTrajectory:
     def test_matches_ode(self, z):
         model = self.model(z)
         times = np.linspace(0.0, 20.0 * math.pi / (self.OMEGA * math.sqrt(1.0 + z)), 331)
-        exact = oscillator._classical_trajectory_x(model, self.AMPLITUDE, times)
-        ode = integrate_oscillator_trajectory(
+        exact = integrate_oscillator_trajectory(
+            model.mass, model.omega, model.beta, self.AMPLITUDE, times
+        )
+        ode = ode_oscillator_trajectory(
             model.mass, model.omega, model.beta, self.AMPLITUDE, times, rel_tol=1e-12
         )
         assert np.max(np.abs(exact - ode)) <= 1e-10 * self.AMPLITUDE
@@ -436,7 +439,9 @@ class TestExactClassicalTrajectory:
         def gap(z):
             model = self.model(z)
             return np.max(np.abs(
-                oscillator._classical_trajectory_x(model, self.AMPLITUDE, times)
+                integrate_oscillator_trajectory(
+                    model.mass, model.omega, model.beta, self.AMPLITUDE, times
+                )
                 - trajectory_x_closed_form(model, self.AMPLITUDE, times)
             ))
 
@@ -445,7 +450,7 @@ class TestExactClassicalTrajectory:
     def test_undeformed_is_pure_cosine(self):
         times = np.linspace(0.0, 10.0, 50)
         np.testing.assert_allclose(
-            oscillator._classical_trajectory_x(self.model(0.0), 2.0, times),
+            integrate_oscillator_trajectory(self.MASS, self.OMEGA, 0.0, 2.0, times),
             2.0 * np.cos(self.OMEGA * times), rtol=1e-14,
         )
 
