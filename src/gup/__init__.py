@@ -1,12 +1,12 @@
 """Pendulum timing, oscillator matrix mechanics and exclusion bounds
 for a minimal-length deformed commutator.
 
-The subpackages split along the physics: `dynamics` integrates the
+The modules split along the physics: `dynamics` integrates the
 classical deformed equations of motion and pendulum periods, `evfit`
 fits period-vs-amplitude^2 data with errors on both axes, `oscillator`
-carries the quantum cross-check, and `bounds` turns everything into
-limits on the deformation parameters.  `cli` wires them together for
-the `gup` command.
+carries the quantum cross-check, and `bounds` turns the fit into a ratio
+bound (`pendulum_fit`) and the registry into exclusion curves
+(`scenario_curves`).  `cli` only parses and formats for the `gup` command.
 """
 
 from .bounds import (

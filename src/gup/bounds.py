@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import ATOMIC_MASS_UNIT, PLANCK_MOMENTUM_SQ, VACUUM_PERMEABILITY
 from .dynamics import PendulumConfig
-from .evfit import LinearFit, confidence_interval
+from .evfit import LinearFit, MeasurementSeries, confidence_interval, odr_fit
 
 __all__ = [
     "RatioBound",
@@ -34,6 +34,7 @@ __all__ = [
     "derived_length",
     "slope_coefficients",
     "ratio_bound_from_fit",
+    "pendulum_fit",
     "nucleon_count",
     "alpha_bound",
     "beta0_log_grid",
@@ -43,6 +44,7 @@ __all__ = [
     "levitation_ratio_bound",
     "load_scenarios",
     "resolve_scenario",
+    "scenario_curves",
     "json_number",
 ]
 
@@ -141,6 +143,19 @@ def ratio_bound_from_fit(
         raise ValueError("deformation coefficient must be positive")
     s_lo, s_hi = confidence_interval(fit, "slope", level)
     return RatioBound(lower=(c0 - s_hi) / c1, upper=(c0 - s_lo) / c1)
+
+
+def pendulum_fit(series: MeasurementSeries, mass: float, gravity: float, level: float = 0.95):
+    """(fit, length, its sigma, RatioBound B): L from the fit's intercept, B from its slope.
+
+    A B that limits no alpha for the bob's N = m / u nucleons (B not
+    positive and finite, or N not above 1) raises ValueError.
+    """
+    fit = odr_fit(series)
+    length, length_se = derived_length(fit.intercept, gravity, fit.intercept_se)
+    ratio = ratio_bound_from_fit(fit, PendulumConfig(mass, length, gravity), level)
+    _check_leverage(ratio.upper, nucleon_count(mass))
+    return fit, length, length_se, ratio
 
 
 def nucleon_count(mass: float) -> float:
@@ -423,3 +438,14 @@ def resolve_scenario(
     parameters; the remaining kinds carry a registered ratio_upper.
     """
     return _RESOLVERS[scenario.kind](scenario, fit_bound)
+
+
+def scenario_curves(scenarios: list, grid, fit_bound: "RatioBound | None" = None) -> list:
+    """(scenario, B, N, boundary on grid) per scenario in order, skipping style "none"."""
+    curves = []
+    for scenario in scenarios:
+        if scenario.style != "none":  # registered but not plotted: left unresolved
+            upper, n_particles = resolve_scenario(scenario, fit_bound)
+            curves.append((scenario, upper, n_particles,
+                           exclusion_boundary(upper, n_particles, grid)))
+    return curves

@@ -1,16 +1,19 @@
 """Command-line entry points.
 
-Subcommands:
+Subcommands, each with the library call that computes what it prints:
 
-  fit            EIV line fit of a period-vs-amplitude^2 dataset, with the
-                 derived pendulum length and deformation-ratio bound.
-  exclusion      (beta0, alpha) exclusion boundaries for all registered
-                 experiments, as a table, CSV and/or SVG.
+  fit            EIV line fit of a period-vs-amplitude^2 dataset, derived
+                 length and deformation-ratio bound (bounds.pendulum_fit).
+  exclusion      (beta0, alpha) exclusion boundaries of the registered
+                 experiments as a table, CSV and/or SVG
+                 (bounds.scenario_curves; bounds.pendulum_fit for the fit B).
   period         Pendulum period by the first-order formula, the full
-                 quadrature, or direct trajectory integration.
+                 quadrature, or direct trajectory integration (dynamics).
   quantum-check  Invariant suite of the deformed-oscillator matrix
-                 mechanics against the closed forms.
-  scenarios      Registry inspection.
+                 mechanics (oscillator.invariant_checks).
+  scenarios      Registry inspection (bounds.load_scenarios).
+
+This module parses arguments, config and the dataset CSV, and formats.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
 A JSON config file (--config or the GUP_CONFIG environment variable)
@@ -226,23 +229,30 @@ def _parse_rows(path: str, lines: list, expected: int) -> np.ndarray:
 # --- fit -------------------------------------------------------------------
 
 
-def _fit_chain(dataset: Dataset, config: dict) -> dict:
-    """Run fit -> length -> ratio bound -> alpha and collect everything."""
+def _pendulum_fit(config: dict, path: str) -> tuple:
+    """bounds.pendulum_fit of the timing CSV at path, with the config's settings."""
+    fit_config, pendulum = config["fit"], config["pendulum"]
+    dataset = load_dataset(
+        path, fit_config["sigma_amplitude_sq_m2"], fit_config["sigma_period_s"]
+    )
+    return bounds.pendulum_fit(
+        dataset.series, pendulum["mass_kg"], pendulum["gravity_m_s2"],
+        fit_config["confidence_level"],
+    )
+
+
+def cmd_fit(args: argparse.Namespace) -> int:
+    config = load_config(args.config)
+    path = args.dataset if args.dataset else bundled_dataset_path()
+    fit, length, length_se, ratio = _pendulum_fit(config, path)
     level = config["fit"]["confidence_level"]
-    fit = evfit.odr_fit(dataset.series)
+    mass, gravity = config["pendulum"]["mass_kg"], config["pendulum"]["gravity_m_s2"]
     slope_ci = evfit.confidence_interval(fit, "slope", level)
     intercept_ci = evfit.confidence_interval(fit, "intercept", level)
-    gravity = config["pendulum"]["gravity_m_s2"]
-    mass = config["pendulum"]["mass_kg"]
-    length, length_se = bounds.derived_length(
-        fit.intercept, gravity, fit.intercept_se
-    )
-    pend = dynamics.PendulumConfig(mass=mass, length=length, gravity=gravity)
-    ratio = bounds.ratio_bound_from_fit(fit, pend, level)
     n_particles = bounds.nucleon_count(mass)
     alpha_min = bounds.alpha_bound(ratio.upper, n_particles, 1.0)
-    return {
-        "dataset": dataset.path,
+    report = {
+        "dataset": path,
         "n_points": fit.n_points,
         "confidence_level": level,
         "slope_s_per_m2": fit.slope,
@@ -261,39 +271,20 @@ def _fit_chain(dataset: Dataset, config: dict) -> dict:
         "n_particles": n_particles,
         "alpha_min_at_beta0_1": alpha_min,
     }
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    path = args.dataset if args.dataset else bundled_dataset_path()
-    dataset = load_dataset(
-        path,
-        config["fit"]["sigma_amplitude_sq_m2"],
-        config["fit"]["sigma_period_s"],
-    )
-    report = _fit_chain(dataset, config)
-    level_pct = 100.0 * report["confidence_level"]
-    print(f"dataset            {report['dataset']} ({report['n_points']} points)")
+    level_pct = 100.0 * level
+    print(f"dataset            {path} ({fit.n_points} points)")
     print(
-        f"slope              {report['slope_s_per_m2']:.6g} s/m^2"
-        f"  [{level_pct:g}% CI {report['slope_ci'][0]:.6g}, "
-        f"{report['slope_ci'][1]:.6g}]"
+        f"slope              {fit.slope:.6g} s/m^2"
+        f"  [{level_pct:g}% CI {slope_ci[0]:.6g}, {slope_ci[1]:.6g}]"
     )
     print(
-        f"intercept          {report['intercept_s']:.8g} s"
-        f"  [{level_pct:g}% CI {report['intercept_ci'][0]:.8g}, "
-        f"{report['intercept_ci'][1]:.8g}]"
+        f"intercept          {fit.intercept:.8g} s"
+        f"  [{level_pct:g}% CI {intercept_ci[0]:.8g}, {intercept_ci[1]:.8g}]"
     )
-    print(f"reduced chi^2      {report['reduced_chi2']:.4g} (dof {report['dof']})")
-    print(
-        f"derived length     {report['derived_length_m']:.6f} m"
-        f" +- {report['derived_length_se_m']:.6f}"
-    )
-    print(
-        f"ratio bound        {report['ratio_bound']['lower']:.6g}"
-        f" < beta0/N^alpha < {report['ratio_bound']['upper']:.6g}"
-    )
-    print(f"alpha_min(beta0=1) {report['alpha_min_at_beta0_1']:.4f}")
+    print(f"reduced chi^2      {fit.reduced_chi2:.4g} (dof {fit.dof})")
+    print(f"derived length     {length:.6f} m +- {length_se:.6f}")
+    print(f"ratio bound        {ratio.lower:.6g} < beta0/N^alpha < {ratio.upper:.6g}")
+    print(f"alpha_min(beta0=1) {alpha_min:.4f}")
     out_path = args.out_json
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
@@ -310,69 +301,36 @@ _LINE_BREAKS = {ord(c): c.encode("unicode_escape").decode()
                 for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
-def _scenario_curves(config: dict, grid: np.ndarray) -> list[dict]:
-    scenarios = bounds.load_scenarios(config["scenarios"])
-    fit_bound = None
-    if any(s.kind == "pendulum-fit" for s in scenarios):
-        dataset = load_dataset(
-            bundled_dataset_path(),
-            config["fit"]["sigma_amplitude_sq_m2"],
-            config["fit"]["sigma_period_s"],
-        )
-        report = _fit_chain(dataset, config)
-        fit_bound = bounds.RatioBound(**report["ratio_bound"])
-    curves = []
-    for scenario in scenarios:
-        if scenario.style == "none":
-            continue
-        upper, n_particles = bounds.resolve_scenario(scenario, fit_bound)
-        boundary = bounds.exclusion_boundary(upper, n_particles, grid)
-        curves.append(
-            {
-                "label": scenario.label,
-                "style": scenario.style,
-                "upper": upper,
-                "n_particles": n_particles,
-                "boundary": boundary,
-            }
-        )
-    return curves
-
-
 def cmd_exclusion(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     grid = bounds.beta0_log_grid(**config["grid"])
-    curves = _scenario_curves(config, grid)
-    for curve in curves:
-        alpha_unit = bounds.alpha_bound(curve["upper"], curve["n_particles"], 1.0)
+    scenarios = bounds.load_scenarios(config["scenarios"])
+    fit_bound = None
+    if any(s.kind == "pendulum-fit" for s in scenarios):
+        *_, fit_bound = _pendulum_fit(config, bundled_dataset_path())
+    curves = bounds.scenario_curves(scenarios, grid, fit_bound)
+    for scenario, upper, n_particles, _ in curves:
+        alpha_unit = bounds.alpha_bound(upper, n_particles, 1.0)
         print(
-            f"{curve['label'].translate(_LINE_BREAKS):<38} style={curve['style']:<6} "
-            f"B={curve['upper']:.4g} N={curve['n_particles']:.4g} "
-            f"alpha_min(beta0=1)={alpha_unit:+.4f}"
+            f"{scenario.label.translate(_LINE_BREAKS):<38} style={scenario.style:<6} "
+            f"B={upper:.4g} N={n_particles:.4g} alpha_min(beta0=1)={alpha_unit:+.4f}"
         )
     if args.out_csv:
         # every boundary is sampled on grid: its column is formatted once
         beta0_text = svgplot.format_rows("%.12g\n", grid.tolist()).splitlines()
         with open(args.out_csv, "w", encoding="utf-8") as handle:
             handle.write("label,beta0,alpha_min,style\n")
-            for curve in curves:
-                label = curve["label"].replace("%", "%%")
+            for scenario, _, _, boundary in curves:
+                label = scenario.label.replace("%", "%%")
                 if any(c in label for c in ',"\r\n'):  # quoted as RFC 4180 asks
                     label = '"' + label.replace('"', '""') + '"'
-                handle.write(svgplot.format_rows(
-                    f"{label},%s,%.12g,{curve['style']}\n",
-                    beta0_text,
-                    curve["boundary"].points[:, 1].tolist(),
-                ))
+                handle.write(svgplot.format_rows(f"{label},%s,%.12g,{scenario.style}\n",
+                                                 beta0_text, boundary.points[:, 1].tolist()))
         print(f"boundary CSV written to {args.out_csv}")
     if args.out_svg:
         series = [
-            svgplot.Series(
-                label=curve["label"],
-                points=curve["boundary"].points,
-                style=curve["style"],
-            )
-            for curve in curves
+            svgplot.Series(label=scenario.label, points=boundary.points, style=scenario.style)
+            for scenario, _, _, boundary in curves
         ]
         svg = svgplot.line_chart(
             series,

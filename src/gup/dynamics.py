@@ -96,9 +96,17 @@ class DeformationParams:
 
     @property
     def effective_beta(self) -> float:
-        """Deformation in SI units, beta0 / (N^alpha (M_p c)^2)."""
-        scale = self.n_particles ** self.alpha
-        beta = self.beta0 / (scale * PLANCK_MOMENTUM_SQ)
+        """Deformation in SI units, beta0 / (N^alpha (M_p c)^2), 0 where beta0 = 0.
+
+        An N^alpha past float range gives 0; ValueError where beta overflows.
+        """
+        if self.beta0 == 0.0:
+            return 0.0
+        try:
+            scale = self.n_particles ** self.alpha * PLANCK_MOMENTUM_SQ
+        except OverflowError:  # beta0 / inf rounds to 0
+            return 0.0
+        beta = self.beta0 / scale if scale > 0.0 else math.inf  # N^alpha rounded to 0
         if not math.isfinite(beta):
             raise ValueError(
                 f"effective beta overflows for n_particles={self.n_particles!r}, "

@@ -123,8 +123,8 @@ def _operator_bands(model: OscillatorModel, dimension: int) -> tuple:
     """e_n, the entries of a, x and p / i at (n-1, n), then of x and p / i at (n-3, n)."""
     if dimension > _MAX_DIMENSION:
         raise TruncationError(
-            f"{dimension} Fock levels requested; dense operators are capped "
-            f"at {_MAX_DIMENSION} levels"
+            f"{dimension} Fock levels requested; the banded operators are checked "
+            f"against dense products only up to {_MAX_DIMENSION} levels"
         )
     c1 = math.sqrt(model.hbar / (2.0 * model.mass * model.omega))
     c3 = math.sqrt(model.hbar * model.mass * model.omega / 2.0)

@@ -21,8 +21,10 @@ from gup.bounds import (
     levitation_ratio_bound,
     load_scenarios,
     nucleon_count,
+    pendulum_fit,
     ratio_bound_from_fit,
     resolve_scenario,
+    scenario_curves,
     slope_coefficients,
     sphere_mass,
 )
@@ -165,6 +167,54 @@ class TestExclusionBoundary:
         grid = beta0_log_grid(1e-2, 1e4, 7)
         np.testing.assert_allclose(grid, 10.0 ** np.arange(-2.0, 5.0), rtol=1e-15)
         assert beta0_log_grid(points=1).tolist() == [1e-4]
+
+
+class TestPendulumFit:
+    def test_chain_of_library_calls(self, timing_series):
+        fit, length, length_se, ratio = pendulum_fit(timing_series, 1.22, 9.80393, 0.9)
+        reference = odr_fit(timing_series)
+        assert (fit.slope, fit.intercept, fit.intercept_se) == (
+            reference.slope, reference.intercept, reference.intercept_se)
+        assert (length, length_se) == derived_length(fit.intercept, 9.80393, fit.intercept_se)
+        pend = PendulumConfig(mass=1.22, length=length, gravity=9.80393)
+        assert ratio == ratio_bound_from_fit(fit, pend, 0.9)
+
+    @pytest.mark.parametrize("mass,gravity,message", [
+        (1.22, 20.0, "ratio upper bound must be positive"),  # fitted slope above c0
+        (1e-30, 9.80393, "n_particles must exceed 1"),  # a bob under one nucleon
+    ])
+    def test_bound_without_leverage_refused(self, timing_series, mass, gravity, message):
+        with pytest.raises(ValueError, match=message):
+            pendulum_fit(timing_series, mass, gravity)
+
+
+class TestScenarioCurves:
+    def test_bundled_registry(self):
+        scenarios = load_scenarios()
+        grid = beta0_log_grid(points=5)
+        fit_bound = RatioBound(0.0, 0.011)
+        curves = scenario_curves(scenarios, grid, fit_bound)
+        plotted = [s for s in scenarios if s.style != "none"]
+        assert len(plotted) == 4
+        assert [c[0] for c in curves] == plotted
+        for scenario, upper, n_particles, boundary in curves:
+            assert (upper, n_particles) == resolve_scenario(scenario, fit_bound)
+            expected = exclusion_boundary(upper, n_particles, grid).points
+            assert np.array_equal(boundary.points, expected)
+
+    def test_unplotted_entries_skipped_unresolved_in_order(self):
+        def entry(label, style, parameters):
+            return ExperimentScenario(kind="optomechanical", label=label, n_particles=1e9,
+                                      parameters=parameters, style=style)
+        scenarios = [
+            entry("c", "dashed", {"ratio_upper": 3.0}),
+            entry("hidden", "none", {}),  # resolving it would raise ScenarioError
+            entry("a", "solid", {"ratio_upper": 1.0}),
+            entry("b", "dashed", {"ratio_upper": 2.0}),
+        ]
+        curves = scenario_curves(scenarios, [1.0, 10.0])
+        assert [(s.label, upper) for s, upper, _, _ in curves] == [
+            ("c", 3.0), ("a", 1.0), ("b", 2.0)]
 
 
 class TestNucleonCount:

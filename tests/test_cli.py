@@ -53,6 +53,16 @@ class TestFit:
         assert report["alpha_min_at_beta0_1"] == pytest.approx(0.075, abs=0.005)
         assert report["n_particles"] == pytest.approx(1.22 / 1.66054e-27, rel=1e-12)
 
+    def test_library_call_matches_report(self, capsys, in_tmp, timing_series):
+        assert run(capsys, "fit")[0] == 0
+        report = json.loads((in_tmp / "gup-fit.json").read_text())
+        fit, length, length_se, ratio = bounds.pendulum_fit(timing_series, 1.22, 9.80393, 0.95)
+        assert (fit.slope, fit.intercept, length, length_se, ratio.lower, ratio.upper) == (
+            report["slope_s_per_m2"], report["intercept_s"], report["derived_length_m"],
+            report["derived_length_se_m"], report["ratio_bound"]["lower"],
+            report["ratio_bound"]["upper"],
+        )
+
     def test_out_json_path(self, capsys, in_tmp):
         target = in_tmp / "custom.json"
         code, out, _ = run(capsys, "fit", "--out-json", str(target))
@@ -374,6 +384,27 @@ class TestExclusion:
         assert "gravity_m_s2, mass_kg" in err
 
 
+    @pytest.mark.parametrize("registry", [None, "reg.json"])
+    def test_fitted_bound_refused_before_scenarios_resolve(self, capsys, in_tmp, registry):
+        # at g = 20 m/s^2 the fitted B is negative; the custom registry's
+        # first entry, a levitation scenario without radius_m, is not reached
+        (in_tmp / "reg.json").write_text(json.dumps({"version": 1, "scenarios": [
+            {"kind": "levitation", "label": "no radius", "n_particles": None,
+             "parameters": {"density_kg_m3": 19300.0, "susceptibility": 3.4e-5,
+                            "field_gradient_T_m": 100.0, "amplitude_m": 1e-6,
+                            "damping_hz": 1e-3}},
+            {"kind": "pendulum-fit", "label": "bob", "n_particles": 7.32e26,
+             "parameters": {}},
+        ]}))
+        (in_tmp / "conf.json").write_text(json.dumps(
+            {"pendulum": {"gravity_m_s2": 20}, "scenarios": registry}))
+        assert run(capsys, "exclusion", "--config", "conf.json") == (
+            1, "", "gup: error: ratio upper bound must be positive and finite\n")
+        (in_tmp / "conf.json").write_text(json.dumps({"scenarios": "reg.json"}))
+        assert run(capsys, "exclusion", "--config", "conf.json") == (
+            1, "", "gup: error: scenario 'no radius' lacks 'radius_m'\n")
+
+
 _ODD_LABELS = {"version": 1, "scenarios": [
     {"kind": "oscillator-frequency", "label": "100% <b> & %s %(x)d",
      "n_particles": 1e20, "parameters": {"ratio_upper": 0.3}},
@@ -398,7 +429,8 @@ class TestExclusionWriters:
     @pytest.mark.parametrize("registry", ["bundled", "odd labels"])
     @pytest.mark.parametrize("beta0_range", [(1e-4, 1e8), (1e-300, 1e300), (3.0, 3.0)])
     @pytest.mark.parametrize("points", [1, 2, 121, 20_001])
-    def test_match_per_point_writers(self, capsys, in_tmp, registry, beta0_range, points):
+    def test_match_per_point_writers(self, capsys, in_tmp, timing_series, registry,
+                                     beta0_range, points):
         config = {"grid": {"beta0_min": beta0_range[0], "beta0_max": beta0_range[1],
                            "points": points}}
         if registry == "odd labels":
@@ -411,8 +443,10 @@ class TestExclusionWriters:
 
         resolved = cli.load_config("conf.json")
         grid = bounds.beta0_log_grid(**resolved["grid"])
-        curves = [(c["label"], c["style"], c["boundary"].points.tolist())
-                  for c in cli._scenario_curves(resolved, grid)]
+        *_, fit_bound = bounds.pendulum_fit(timing_series, 1.22, 9.80393, 0.95)
+        curves = [(s.label, s.style, boundary.points.tolist()) for s, _, _, boundary
+                  in bounds.scenario_curves(bounds.load_scenarios(resolved["scenarios"]),
+                                            grid, fit_bound)]
         assert (in_tmp / "b.csv").read_bytes() == reference_exclusion_csv(curves).encode()
         expected = reference_curve_elements(curves, beta0_range, (-1.0, 1.0))
         assert_curve_elements(expected, (in_tmp / "b.svg").read_text())
@@ -471,6 +505,20 @@ class TestPeriod:
         t_plain = float(plain.split("period_s=")[1].split()[0])
         t_deformed = float(deformed.split("period_s=")[1].split()[0])
         assert t_deformed < t_plain
+
+    @pytest.mark.parametrize("method", ["--exact", "--first-order", "--trajectory"])
+    def test_suppression_past_float_range(self, capsys, method):
+        # N^alpha = 10^400 overflows: beta rounds to 0, as at beta0 = 0
+        base = ("period", "--amplitude", "0.35", method)
+        plain = run(capsys, *base, "--beta0", "0")
+        assert plain[0] == 0
+        assert run(capsys, *base, "--beta0", "1", "--n-particles", "10",
+                   "--alpha", "400") == plain
+        # N^alpha = 10^-400 rounds to 0: beta overflows and is refused
+        code, out, err = run(capsys, *base, "--beta0", "1", "--n-particles", "10",
+                             "--alpha", "-400")
+        assert (code, out) == (1, "")
+        assert err == "gup: error: effective beta overflows for n_particles=10.0, alpha=-400.0\n"
 
     def test_trajectory_csv(self, capsys, in_tmp):
         code, _, _ = run(

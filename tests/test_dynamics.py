@@ -40,6 +40,21 @@ class TestDeformationParams:
     def test_zero_strength_is_exactly_zero(self):
         assert DeformationParams(beta0=0.0).effective_beta == 0.0
 
+    @pytest.mark.parametrize("alpha", [-400.0, 400.0])
+    def test_zero_strength_at_any_suppression(self, alpha):
+        params = DeformationParams(beta0=0.0, alpha=alpha, n_particles=10.0)
+        assert params.effective_beta == 0.0
+
+    def test_suppression_past_float_range_rounds_to_zero(self):
+        # 10^400 overflows float64; beta0 / 10^400 rounds to 0
+        assert DeformationParams(beta0=1.0, alpha=400.0, n_particles=10.0).effective_beta == 0.0
+
+    def test_enhancement_rounding_to_zero_overflows(self):
+        # 10^-400 rounds to 0, so beta0 / 10^-400 overflows
+        params = DeformationParams(beta0=1.0, alpha=-400.0, n_particles=10.0)
+        with pytest.raises(ValueError, match="effective beta overflows for n_particles=10.0"):
+            params.effective_beta
+
     @pytest.mark.parametrize("kwargs", [
         {"beta0": -1.0},
         {"beta0": 1.0, "n_particles": 0.5},
