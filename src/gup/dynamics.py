@@ -22,8 +22,9 @@ its canonical pair x = L sin(theta) and ptilde, with
 that is, p^2 c^2 / (2 m) - m g L c, with p = ptilde at beta = 0.
 Hamilton's equations in (x, ptilde) are smooth through the turning
 points, where ptilde passes through zero.  The swing is even in time and
-in x, so one high-order solve from rest to the first zero crossing, a
-quarter period, fixes the whole motion.
+in x, so one solve from rest to the first zero crossing, a quarter period,
+fixes the whole motion: a Dormand-Prince 5(4) pair (J. Comput. Appl. Math.
+6 (1980) 19) with Shampine's continuous extension (Math. Comp. 46 (1986) 135).
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # the quarter-swing solve imports scipy.integrate when it runs; this keeps
-    # gup.dynamics.integrate naming it for callers that wrap solve_ivp
+    # names scipy.integrate for callers that wrap solve_ivp; no solve here uses it
     if name == "integrate":
         from scipy import integrate
         return integrate
@@ -320,57 +320,103 @@ def _physical_momentum(ptilde: float, root: float) -> tuple[float, float]:
     return math.tan(u) / root, 1.0 / math.cos(u) ** 2
 
 
-def _quarter_swing(
-    pend: PendulumConfig, beta: float, phi: float, rel_tol: float, dense_output: bool = False
-):
-    """One DOP853 solve of the swing from rest to its first zero crossing t_1.
+# Shampine's continuous extension (Math. Comp. 46 (1986) 135): y(t + u h) = y + h K P (u .. u^4)
+_DP54_DENSE = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+
+def _dp54_step(f, y, k1, h):
+    """Dormand-Prince step from y, k1 = f(y): end, error, slopes K less k2, which weighs 0."""
+    k2 = f(y + h * (0.2 * k1))
+    k3 = f(y + h * (3 / 40 * k1 + 9 / 40 * k2))
+    k4 = f(y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+    k5 = f(y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4))
+    k6 = f(y + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
+                    - 5103 / 18656 * k5))
+    end = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5
+                   + 11 / 84 * k6)
+    k7 = f(end)
+    error = h * (-71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4 + 17253 / 339200 * k5
+                 - 22 / 525 * k6 + 0.025 * k7)
+    return end, error, (k1, k3, k4, k5, k6, k7)
+
+
+def _quarter_swing(pend: PendulumConfig, beta: float, phi: float, rel_tol: float):
+    """One Dormand-Prince 5(4) solve of the swing from rest to its first zero crossing t_1.
 
     Evolves Hamilton's equations in (x, ptilde) for H = p(ptilde)^2 c^2 / (2 m)
-    - m g L c, c = sqrt(1 - x^2 / L^2), from rest at x = L sin(phi), to the
-    terminal event x = 0.  Its span is a fifth past t_1 <= (pi/2) sqrt(L/g) /
-    cos(phi/2) (K(k) <= (pi/2) / sqrt(1 - k^2), and the deformation only
-    shortens the swing), so no quadrature is used.
+    - m g L c, c = sqrt(1 - x^2 / L^2), from rest at x = L sin(phi), as one
+    complex state x + i ptilde (Dormand & Prince, J. Comput. Appl. Math. 6
+    (1980) 19).  Steps are controlled as scipy's RK45 does (RMS error norm,
+    safety 0.9, growth in [0.2, 10]) within a span a fifth past t_1 <= (pi/2)
+    sqrt(L/g) / cos(phi/2): K(k) <= (pi/2) / sqrt(1 - k^2), and the deformation
+    only shortens the swing.  Newton on the length of the step that crosses
+    x = 0 gives t_1.  Returns t_1 and the accepted steps, for _swing_states.
     """
     mass, length = pend.mass, pend.length
     weight = mass * pend.gravity
     root = math.sqrt(beta)
 
-    def rhs(t, state):
-        x, ptilde = state
+    def rhs(state):
+        x, ptilde = state.real, state.imag
         c2 = 1.0 - (x / length) ** 2
         # NaN makes the step controller reject a stage past |x| = L or p's pole
         if c2 <= 0.0 or root * abs(ptilde) >= 0.5 * math.pi:
-            return (math.nan, math.nan)
+            return complex(math.nan, math.nan)
         p, slope = _physical_momentum(ptilde, root)
         velocity = p * c2 * slope / mass
         force = (x / length) * (p * p / (mass * length) - weight / math.sqrt(c2))
-        return (velocity, force)
-
-    def crossing(t, state):
-        return state[0]
-    crossing.terminal = True
+        return complex(velocity, force)
 
     x0 = length * math.sin(phi)
     # momentum at the bottom of the swing, m sqrt(2 g L (1 - cos(phi)))
     p_max = 2.0 * mass * math.sin(0.5 * phi) * math.sqrt(pend.gravity * length)
-    ptilde_max = momentum_remap(p_max, beta)
+    atol_x, atol_p = rel_tol * 1e-2 * x0, rel_tol * 1e-2 * momentum_remap(p_max, beta)
     span = 0.6 * math.pi * math.sqrt(length / pend.gravity) / math.cos(0.5 * phi)
-    from scipy import integrate
-    sol = integrate.solve_ivp(
-        rhs,
-        (0.0, span),
-        (x0, 0.0),
-        method="DOP853",
-        rtol=rel_tol,
-        atol=(rel_tol * 1e-2 * x0, rel_tol * 1e-2 * ptilde_max),
-        dense_output=dense_output,
-        events=crossing,
-    )
-    if sol.status < 0:
-        raise TrajectoryError(f"swing integration failed: {sol.message}")
-    if sol.status != 1:
-        raise TrajectoryError("the swing did not reach a zero crossing")
-    return sol
+    t, y, h, rejected, steps = 0.0, complex(x0, 0.0), 1e-3 * span, False, []
+    k = rhs(y)
+    while y.real > 0.0:
+        if t >= span:
+            raise TrajectoryError("the swing did not reach a zero crossing")
+        h = min(h, span - t)
+        if h < 10.0 * math.ulp(t):
+            raise TrajectoryError(f"swing integration failed: step {h:.3g} s at t = {t:.6g} s")
+        end, error, slopes = _dp54_step(rhs, y, k, h)
+        # x and ptilde barely move near |x| = L and p's pole: weigh them as theta and p
+        c, w = math.sqrt(1.0 - (y.real / length) ** 2), math.cos(root * y.imag)
+        norm = 0.5 ** 0.5 * math.hypot(  # RMS over the two
+            error.real / (atol_x + c * rel_tol * max(abs(y.real), abs(end.real))),
+            error.imag / (atol_p + w * rel_tol * max(abs(y.imag), abs(end.imag))))
+        if not norm < 1.0:  # NaN too
+            h, rejected = h * max(0.2, 0.9 * norm ** -0.2), True
+            continue
+        steps.append((t, h, y, slopes))
+        grow = min(0.9 * norm ** -0.2 if norm else 10.0, 1.0 if rejected else 10.0)
+        t, y, k, h, rejected = t + h, end, slopes[-1], h * grow, False
+    t, h, y, slopes = steps[-1]
+    for _ in range(8):  # Newton on x(t + h) = 0, dx/dt being the last stage slope
+        h -= (dh := end.real / slopes[-1].real)
+        if abs(dh) <= 1e-3 * rel_tol * (t + h):
+            break
+        end, _, slopes = _dp54_step(rhs, y, slopes[0], h)
+    if not 0.0 < h <= steps[-1][1]:
+        raise TrajectoryError("swing integration failed: no zero crossing in its last step")
+    return t + h, steps
+
+
+def _swing_states(steps, times: np.ndarray) -> np.ndarray:
+    """x + i ptilde at times in [0, t_1] from the steps of _quarter_swing."""
+    starts, sizes, states, slopes = (np.array(column) for column in zip(*steps))
+    i = np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
+    u = (times - starts[i]) / sizes[i]
+    dense = (slopes @ _DP54_DENSE)[i] * u[:, None] ** np.arange(1, 5)
+    return states[i] + sizes[i] * dense.sum(axis=1)
 
 
 def integrate_trajectory(
@@ -386,12 +432,12 @@ def integrate_trajectory(
     Returns a read-only (n, 3) float64 array of (time, angle, displacement)
     rows, displacement being the bob's horizontal coordinate x = L sin(angle).
     One quarter swing is solved, to its first zero crossing t_1, and the
-    motion, even in time and in x with period 4 t_1, is unfolded from its
-    dense output: t maps to s = |((t + 2 t_1) mod 4 t_1) - 2 t_1| in
-    [0, 2 t_1], and x(t) = x(s) for s <= t_1, -x(2 t_1 - s) beyond.  Unless
-    explicit times are given, rows lie on a uniform grid of 256 per period
-    (at least 64); they are monotone in time either way.  A t_end past
-    _MAX_PERIODS periods raises ValueError.
+    motion, even in time and in x with period 4 t_1, is unfolded from the
+    continuous extension of its steps: t maps to s = |((t + 2 t_1) mod 4 t_1)
+    - 2 t_1| in [0, 2 t_1], and x(t) = x(s) for s <= t_1, -x(2 t_1 - s)
+    beyond.  Unless explicit times are given, rows lie on a uniform grid of
+    256 per period (at least 64); they are monotone in time either way.  A
+    t_end past _MAX_PERIODS periods raises ValueError.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     t_end = float(t_end)
@@ -404,8 +450,7 @@ def integrate_trajectory(
             raise ValueError("times must be a non-empty 1-D sequence of finite values")
         if np.any(np.diff(grid) < 0.0) or grid[0] < 0.0 or grid[-1] > t_end:
             raise ValueError("times must be non-decreasing within [0, t_end]")
-    sol = _quarter_swing(pend, beta, phi, rel_tol, dense_output=True)
-    t_1 = float(sol.t_events[0][0])
+    t_1, steps = _quarter_swing(pend, beta, phi, rel_tol)
     if t_end > 4.0 * _MAX_PERIODS * t_1:
         raise ValueError(
             f"t_end = {t_end:g} s spans {t_end / (4.0 * t_1):.3g} periods of {4.0 * t_1:.6g} s; "
@@ -415,7 +460,7 @@ def integrate_trajectory(
         grid = np.linspace(0.0, t_end, max(64, round(64 * t_end / t_1)))
     s = np.abs(np.mod(grid + 2.0 * t_1, 4.0 * t_1) - 2.0 * t_1)
     beyond = s > t_1  # past the crossing, x = -x(2 t_1 - s)
-    x = sol.sol(np.where(beyond, 2.0 * t_1 - s, s))[0]
+    x = _swing_states(steps, np.where(beyond, 2.0 * t_1 - s, s)).real
     displacements = np.where(beyond, -x, x)
     angles = np.arcsin(displacements / pend.length)
     samples = np.column_stack((grid, angles, displacements))
@@ -432,11 +477,11 @@ def trajectory_period(
     """Period 4 t_1 of a swing integrated to its first zero crossing t_1.
 
     H(x, ptilde) is even in x and in ptilde and the bob starts from rest, so
-    the motion is symmetric in time and in x.  The solver locates t_1 by root
-    finding on its dense output and stops there; see _quarter_swing.
+    the motion is symmetric in time and in x.  t_1 ends one Dormand-Prince 5(4)
+    solve (J. Comput. Appl. Math. 6 (1980) 19); see _quarter_swing.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
-    return 4.0 * float(_quarter_swing(pend, beta, phi, rel_tol).t_events[0][0])
+    return 4.0 * _quarter_swing(pend, beta, phi, rel_tol)[0]
 
 
 def integrate_oscillator_trajectory(

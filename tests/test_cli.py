@@ -1043,7 +1043,11 @@ class TestImports:
         assert self._scipy_loaded_after(code, tmp_path) == "[]"
         assert {p.name for p in tmp_path.iterdir()} == {"fit.json", "b.csv", "b.svg"}
 
-    @pytest.mark.parametrize("method", [[], ["--first-order"]], ids=["exact", "first-order"])
+    @pytest.mark.parametrize(
+        "method",
+        [[], ["--first-order"], ["--trajectory"], ["--trajectory", "--out-csv", "swing.csv"]],
+        ids=["exact", "first-order", "trajectory", "trajectory-csv"],
+    )
     def test_period_loads_no_scipy(self, tmp_path, method):
         code = (
             "import gup.cli\n"
@@ -1059,6 +1063,13 @@ class TestImports:
         code = (
             "import gup.dynamics\n"
             "gup.dynamics.integrate_oscillator_trajectory(1.0, 1.0, 1e-3, 0.5, [0.0, 1.0])"
+        )
+        assert self._scipy_loaded_after(code, tmp_path) == "[]"
+
+    def test_pendulum_trajectory_loads_no_scipy(self, tmp_path):
+        code = (
+            "import gup.dynamics as d\n"
+            "d.integrate_trajectory(d.PendulumConfig(1.22, 2.9954, 9.80393), 1e3, 0.3, 7.0)"
         )
         assert self._scipy_loaded_after(code, tmp_path) == "[]"
 

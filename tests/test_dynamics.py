@@ -315,9 +315,9 @@ class TestTrajectory:
         H = tan^2(sqrt(beta) ptilde) c^2 / (2 m beta) - m g L c, c^2 = 1 - x^2 / L^2,
         with tan(sqrt(beta) ptilde) / sqrt(beta) = ptilde at beta = 0.
         """
-        sol = dynamics._quarter_swing(pend, beta, phi, 1e-11, dense_output=True)
-        t_1 = float(sol.t_events[0][0])
-        x, ptilde = sol.sol(np.linspace(0.0, t_1, 200))
+        t_1, steps = dynamics._quarter_swing(pend, beta, phi, 1e-11)
+        states = dynamics._swing_states(steps, np.linspace(0.0, t_1, 200))
+        x, ptilde = states.real, states.imag
         p = np.tan(math.sqrt(beta) * ptilde) / math.sqrt(beta) if beta else ptilde
         c = np.sqrt(1.0 - (x / pend.length) ** 2)
         return t_1, p**2 * c**2 / (2.0 * pend.mass) - pend.mass * pend.gravity * pend.length * c
@@ -477,6 +477,28 @@ class TestQuarterSwing:
         with pytest.raises(TrajectoryError, match="swing integration failed"):
             trajectory_period(experiment, 0.0, 0.3)
 
+    def test_undefined_everywhere_raises_promptly(self, experiment, monkeypatch):
+        # every stage NaN: the step shrinks below the float spacing of t = 0
+        monkeypatch.setattr(dynamics, "_physical_momentum", lambda ptilde, root: (math.nan,) * 2)
+        start = time.perf_counter()
+        with pytest.raises(TrajectoryError, match="swing integration failed"):
+            trajectory_period(experiment, 0.0, 0.3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_span_without_crossing_raises(self, experiment, monkeypatch):
+        # a bob that never moves runs the whole span
+        monkeypatch.setattr(dynamics, "_physical_momentum", lambda ptilde, root: (0.0, 1.0))
+        with pytest.raises(TrajectoryError, match="did not reach a zero crossing"):
+            trajectory_period(experiment, 0.0, 0.3)
+
+    @pytest.mark.parametrize("phi", ORACLE_PHI)
+    @pytest.mark.parametrize("beta0", ORACLE_BETA0)
+    def test_matches_oracle(self, experiment, beta0, phi):
+        beta = DeformationParams(beta0=beta0).effective_beta
+        oracle = _oracle_period(experiment, beta, phi, linearized=False)
+        assert trajectory_period(experiment, beta, phi, rel_tol=1e-10) == pytest.approx(
+            oracle, rel=1e-8)
+
 
 class TestOscillatorTrajectory:
     def test_zero_beta_is_cosine(self):
@@ -542,31 +564,27 @@ def _span_of_periods(pend, deformation, phi, periods):
 
 
 class TestIntegratorLookup:
-    """Solves go through gup.dynamics.integrate, so wrapping it sees them all."""
+    """gup.dynamics.integrate still names scipy.integrate, and no solve reaches it."""
 
     def test_names_scipy_integrate(self):
         import scipy.integrate
 
         assert dynamics.integrate is scipy.integrate
 
-    @pytest.mark.parametrize("call,solve_ivp,quad", [
-        (lambda pend: trajectory_period(pend, 0.0, 0.1), 1, False),
-        (lambda pend: integrate_oscillator_trajectory(
-            1.0, 1.0, 1e-3, 0.5, [0.0, 1.0, 2.0]), 0, False),
-        (lambda pend: period_exact_quadrature(pend, 0.0, 0.1), 0, False),
-        (lambda pend: integrate_trajectory(pend, 0.0, 0.1, 1.0), 1, False),
+    @pytest.mark.parametrize("call,swings", [
+        (lambda pend: trajectory_period(pend, 0.0, 0.1), 1),
+        (lambda pend: integrate_oscillator_trajectory(1.0, 1.0, 1e-3, 0.5, [0.0, 1.0, 2.0]), 0),
+        (lambda pend: period_exact_quadrature(pend, 0.0, 0.1), 0),
+        (lambda pend: integrate_trajectory(pend, 0.0, 0.1, 1.0), 1),
         # one quarter swing for any span; solving every period would take about 37 s
-        (lambda pend: _span_of_periods(pend, DeformationParams(beta0=1e6), 0.05, 900), 1, False),
+        (lambda pend: _span_of_periods(pend, DeformationParams(beta0=1e6), 0.05, 900), 1),
     ], ids=["trajectory_period", "integrate_oscillator_trajectory",
             "period_exact_quadrature", "integrate_trajectory",
             "integrate_trajectory_900_periods"])
-    def test_wrapped_integrators_are_reached(
-        self, monkeypatch, experiment, call, solve_ivp, quad
-    ):
-        counts = {"solve_ivp": 0, "quad": 0}
-        for name in counts:
-            wrapped = _counting(counts, name, getattr(dynamics.integrate, name))
-            monkeypatch.setattr(dynamics.integrate, name, wrapped)
+    def test_wrapped_integrators_are_reached(self, monkeypatch, experiment, call, swings):
+        counts = {"solve_ivp": 0, "quad": 0, "_quarter_swing": 0}
+        for module, name in ((dynamics.integrate, "solve_ivp"), (dynamics.integrate, "quad"),
+                             (dynamics, "_quarter_swing")):
+            monkeypatch.setattr(module, name, _counting(counts, name, getattr(module, name)))
         call(experiment)
-        assert counts["solve_ivp"] == solve_ivp
-        assert (counts["quad"] > 0) == quad
+        assert counts == {"solve_ivp": 0, "quad": 0, "_quarter_swing": swings}
