@@ -52,7 +52,6 @@ from .oscillator import (
     OscillatorModel,
     build_truncated_operators,
     evolve_gk,
-    expectation_xp_closed_form,
     gazeau_klauder_state,
     trajectory_x_closed_form,
 )

@@ -146,16 +146,17 @@ def ratio_bound_from_fit(
 
 
 def pendulum_fit(series: MeasurementSeries, mass: float, gravity: float, level: float = 0.95):
-    """(fit, length, its sigma, RatioBound B): L from the fit's intercept, B from its slope.
+    """(fit, L, its sigma, RatioBound B, N): L from the intercept, B from the slope, N = m / u.
 
-    A B that limits no alpha for the bob's N = m / u nucleons (B not
-    positive and finite, or N not above 1) raises ValueError.
+    A B that limits no alpha for the bob's N nucleons (B not positive and
+    finite, or N not above 1) raises ValueError.
     """
     fit = odr_fit(series)
     length, length_se = derived_length(fit.intercept, gravity, fit.intercept_se)
     ratio = ratio_bound_from_fit(fit, PendulumConfig(mass, length, gravity), level)
-    _check_leverage(ratio.upper, nucleon_count(mass))
-    return fit, length, length_se, ratio
+    n_particles = nucleon_count(mass)
+    _check_leverage(ratio.upper, n_particles)
+    return fit, length, length_se, ratio, n_particles
 
 
 def nucleon_count(mass: float) -> float:
@@ -359,23 +360,20 @@ def load_scenarios(path: "str | None" = None) -> list[ExperimentScenario]:
     return [_scenario_from_record(i, rec) for i, rec in enumerate(entries)]
 
 
-def _registered_count(scenario: ExperimentScenario) -> float:
-    if scenario.n_particles is None:
-        raise ScenarioError(f"scenario {scenario.label!r} lacks n_particles")
-    return scenario.n_particles
-
-
-def _pendulum_fit(scenario: ExperimentScenario, fit_bound: RatioBound | None):
+def _pendulum_fit(scenario: ExperimentScenario, fitted: "tuple[float, float] | None"):
     # mass, gravity, sigmas and confidence level come from the config
-    # that drove the fit, so registry parameters would be ignored
+    # that drove the fit, and N from its mass, so registry values would be ignored
     if scenario.parameters:
         raise ScenarioError(
             f"scenario {scenario.label!r}: pendulum-fit takes its settings from "
             f"the config, not parameters: {', '.join(sorted(scenario.parameters))}"
         )
-    if fit_bound is None:
-        raise ScenarioError(f"scenario {scenario.label!r} needs a fitted RatioBound")
-    return fit_bound.upper, _registered_count(scenario)
+    if scenario.n_particles is not None:
+        raise ScenarioError(f"scenario {scenario.label!r}: pendulum-fit takes N = m / u "
+                            "from the config's pendulum.mass_kg, not n_particles")
+    if fitted is None:
+        raise ScenarioError(f"scenario {scenario.label!r} needs the fitted (B, N)")
+    return fitted
 
 
 def _parameter(scenario: ExperimentScenario, key: str, *default):
@@ -393,7 +391,7 @@ def _parameter(scenario: ExperimentScenario, key: str, *default):
     return number
 
 
-def _levitation(scenario: ExperimentScenario, fit_bound: RatioBound | None):
+def _levitation(scenario: ExperimentScenario, fitted: "tuple[float, float] | None"):
     density = _parameter(scenario, "density_kg_m3")
     mass = sphere_mass(density, _parameter(scenario, "radius_m"))
     omega = levitation_frequency(
@@ -413,11 +411,14 @@ def _levitation(scenario: ExperimentScenario, fit_bound: RatioBound | None):
     return bound.upper, nucleon_count(mass) if n is None else n
 
 
-def _registered(scenario: ExperimentScenario, fit_bound: RatioBound | None):
-    return _parameter(scenario, "ratio_upper"), _registered_count(scenario)
+def _registered(scenario: ExperimentScenario, fitted: "tuple[float, float] | None"):
+    upper = _parameter(scenario, "ratio_upper")
+    if scenario.n_particles is None:
+        raise ScenarioError(f"scenario {scenario.label!r} lacks n_particles")
+    return upper, scenario.n_particles
 
 
-# kind -> resolver (scenario, fit_bound) -> (B, N); the keys are the
+# kind -> resolver (scenario, fitted) -> (B, N); the keys are the
 # accepted kinds.  oscillator-frequency and optomechanical entries both
 # carry a registered composite bound.
 _RESOLVERS = {
@@ -429,23 +430,23 @@ _RESOLVERS = {
 
 
 def resolve_scenario(
-    scenario: ExperimentScenario, fit_bound: "RatioBound | None" = None
+    scenario: ExperimentScenario, fitted: "tuple[float, float] | None" = None
 ) -> tuple[float, float]:
     """(ratio upper bound B, constituent count N) for one scenario.
 
-    pendulum-fit entries need the RatioBound obtained from the timing
-    fit; levitation entries derive everything from their physical
-    parameters; the remaining kinds carry a registered ratio_upper.
+    pendulum-fit entries take both from fitted, the B and N that
+    pendulum_fit returns; levitation entries derive everything from their
+    physical parameters; the remaining kinds carry a registered ratio_upper.
     """
-    return _RESOLVERS[scenario.kind](scenario, fit_bound)
+    return _RESOLVERS[scenario.kind](scenario, fitted)
 
 
-def scenario_curves(scenarios: list, grid, fit_bound: "RatioBound | None" = None) -> list:
+def scenario_curves(scenarios: list, grid, fitted: "tuple[float, float] | None" = None) -> list:
     """(scenario, B, N, boundary on grid) per scenario in order, skipping style "none"."""
     curves = []
     for scenario in scenarios:
         if scenario.style != "none":  # registered but not plotted: left unresolved
-            upper, n_particles = resolve_scenario(scenario, fit_bound)
+            upper, n_particles = resolve_scenario(scenario, fitted)
             curves.append((scenario, upper, n_particles,
                            exclusion_boundary(upper, n_particles, grid)))
     return curves

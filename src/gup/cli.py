@@ -6,7 +6,7 @@ Subcommands, each with the library call that computes what it prints:
                  length and deformation-ratio bound (bounds.pendulum_fit).
   exclusion      (beta0, alpha) exclusion boundaries of the registered
                  experiments as a table, CSV and/or SVG
-                 (bounds.scenario_curves; bounds.pendulum_fit for the fit B).
+                 (bounds.scenario_curves; bounds.pendulum_fit for the fit's B, N).
   period         Pendulum period by the first-order formula, the full
                  quadrature, or direct trajectory integration (dynamics).
   quantum-check  Invariant suite of the deformed-oscillator matrix
@@ -244,12 +244,11 @@ def _pendulum_fit(config: dict, path: str) -> tuple:
 def cmd_fit(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     path = args.dataset if args.dataset else bundled_dataset_path()
-    fit, length, length_se, ratio = _pendulum_fit(config, path)
+    fit, length, length_se, ratio, n_particles = _pendulum_fit(config, path)
     level = config["fit"]["confidence_level"]
     mass, gravity = config["pendulum"]["mass_kg"], config["pendulum"]["gravity_m_s2"]
     slope_ci = evfit.confidence_interval(fit, "slope", level)
     intercept_ci = evfit.confidence_interval(fit, "intercept", level)
-    n_particles = bounds.nucleon_count(mass)
     alpha_min = bounds.alpha_bound(ratio.upper, n_particles, 1.0)
     report = {
         "dataset": path,
@@ -305,10 +304,11 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     grid = bounds.beta0_log_grid(**config["grid"])
     scenarios = bounds.load_scenarios(config["scenarios"])
-    fit_bound = None
+    fitted = None
     if any(s.kind == "pendulum-fit" for s in scenarios):
-        *_, fit_bound = _pendulum_fit(config, bundled_dataset_path())
-    curves = bounds.scenario_curves(scenarios, grid, fit_bound)
+        *_, ratio, nucleons = _pendulum_fit(config, bundled_dataset_path())
+        fitted = ratio.upper, nucleons
+    curves = bounds.scenario_curves(scenarios, grid, fitted)
     for scenario, upper, n_particles, _ in curves:
         alpha_unit = bounds.alpha_bound(upper, n_particles, 1.0)
         print(
@@ -333,12 +333,7 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
             for scenario, _, _, boundary in curves
         ]
         svg = svgplot.line_chart(
-            series,
-            title="Excluded deformation parameters (shaded side ruled out)",
-            x_label="beta0",
-            y_label="alpha",
-            x_range=(config["grid"]["beta0_min"], config["grid"]["beta0_max"]),
-            y_range=(-1.0, 1.0),
+            series, (config["grid"]["beta0_min"], config["grid"]["beta0_max"])
         )
         with open(args.out_svg, "w", encoding="utf-8") as handle:
             handle.write(svg)

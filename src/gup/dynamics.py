@@ -419,6 +419,16 @@ def _swing_states(steps, times: np.ndarray) -> np.ndarray:
     return states[i] + sizes[i] * dense.sum(axis=1)
 
 
+def _time_grid(times: Sequence[float], t_end: "float | None" = None) -> np.ndarray:
+    """times as a float64 array, non-empty, 1-D and finite; sorted in [0, t_end] if given."""
+    grid = np.asarray(times, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError("times must be a non-empty 1-D sequence of finite values")
+    if t_end is not None and (np.any(np.diff(grid) < 0.0) or grid[0] < 0.0 or grid[-1] > t_end):
+        raise ValueError("times must be non-decreasing within [0, t_end]")
+    return grid
+
+
 def integrate_trajectory(
     pend: PendulumConfig,
     deformation: "float | DeformationParams",
@@ -443,13 +453,7 @@ def integrate_trajectory(
     t_end = float(t_end)
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
-    grid = None
-    if times is not None:
-        grid = np.asarray(times, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-            raise ValueError("times must be a non-empty 1-D sequence of finite values")
-        if np.any(np.diff(grid) < 0.0) or grid[0] < 0.0 or grid[-1] > t_end:
-            raise ValueError("times must be non-decreasing within [0, t_end]")
+    grid = None if times is None else _time_grid(times, t_end)
     t_1, steps = _quarter_swing(pend, beta, phi, rel_tol)
     if t_end > 4.0 * _MAX_PERIODS * t_1:
         raise ValueError(
@@ -506,9 +510,7 @@ def integrate_oscillator_trajectory(
     amplitude = float(amplitude)
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
-    grid = np.asarray(times, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ValueError("times must be a non-empty 1-D sequence of finite values")
+    grid = _time_grid(times)
     try:
         z = beta * mass**2 * omega**2 * amplitude**2
     except OverflowError:  # a float's ** raises where * would give inf

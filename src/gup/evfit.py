@@ -25,7 +25,7 @@ uncertainties rather than the observed scatter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -110,7 +110,6 @@ class LinearFit:
     chi2: float
     dof: int
     n_points: int
-    method: str = field(default="odr")
 
     @property
     def reduced_chi2(self) -> float:
@@ -126,7 +125,7 @@ def _require_fittable(series: MeasurementSeries) -> None:
         raise DegenerateDataError("all x values coincide; slope is unconstrained")
 
 
-def _finish(slope, intercept, cov, chi2, n, method) -> LinearFit:
+def _finish(slope, intercept, cov, chi2, n) -> LinearFit:
     cov = np.asarray(cov, dtype=float)
     cov.flags.writeable = False
     return LinearFit(
@@ -138,7 +137,6 @@ def _finish(slope, intercept, cov, chi2, n, method) -> LinearFit:
         chi2=float(chi2),
         dof=n - 2,
         n_points=n,
-        method=method,
     )
 
 
@@ -162,7 +160,7 @@ def wls_fit(series: MeasurementSeries) -> LinearFit:
     intercept = ym - slope * xm
     chi2 = np.sum(w * (y - intercept - slope * x) ** 2)
     cov = np.array([[1.0 / sw + xm * xm / sxx, -xm / sxx], [-xm / sxx, 1.0 / sxx]])
-    return _finish(slope, intercept, cov, chi2, len(series), "wls")
+    return _finish(slope, intercept, cov, chi2, len(series))
 
 
 def _profile_derivatives(series: MeasurementSeries, b: float):
@@ -323,7 +321,7 @@ def odr_fit(series: MeasurementSeries) -> LinearFit:
         intercept, slope, cov = intercept * back[0], slope * back[1], cov * back[:, None] * back
     if not (math.isfinite(intercept) and math.isfinite(slope) and np.isfinite(cov).all()):
         raise FitConvergenceError("the fit or its covariance overflows float64 in these units")
-    return _finish(slope, intercept, cov, chi2, len(series), "odr")
+    return _finish(slope, intercept, cov, chi2, len(series))
 
 
 def confidence_interval(

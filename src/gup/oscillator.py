@@ -8,8 +8,8 @@ spectrum but the ladder algebra picks up a quadratic piece,
 so a^dag a has eigenvalues e_n = n (1 + nu + nu n) instead of n.  This
 module builds truncated Fock-space matrices for a, x, p and the ladder
 Hamiltonian and the generalized coherent states |J, gamma> adapted to
-the nonlinear spectrum, together with the first-order closed forms for
-<x> and <p>, which must reach dynamics.integrate_oscillator_trajectory,
+the nonlinear spectrum, together with the first-order closed form for
+<x(t)> in |J, 0>, which must reach dynamics.integrate_oscillator_trajectory,
 the exact classical trajectory, as hbar -> 0.  The invariant checks read
 the operators' bands directly and form no matrix.
 
@@ -40,7 +40,6 @@ __all__ = [
     "gazeau_klauder_state",
     "evolve_gk",
     "matrix_expectation",
-    "expectation_xp_closed_form",
     "trajectory_x_closed_form",
     "invariant_checks",
 ]
@@ -211,7 +210,9 @@ def _gk_weights(model: OscillatorModel, J: float) -> tuple:
         if log_terms[-1] < np.max(log_terms) - 60.0 and log_terms[-1] <= log_terms[-2]:
             break
         if count > 200_000:
-            raise TruncationError("generalized coherent state does not converge")
+            raise TruncationError(f"J = {J:g}: the generalized coherent state's series has "
+                                  f"not fallen off within {count} levels, the most it is summed "
+                                  f"over; the operators stop at {_MAX_DIMENSION} levels")
         count *= 2
     log_terms = log_terms - np.max(log_terms)
     weights = np.exp(log_terms)
@@ -311,52 +312,20 @@ def matrix_expectation(state: GKState, matrix: np.ndarray) -> complex:
     return complex(np.vdot(v, matrix @ v))
 
 
-def expectation_xp_closed_form(
-    model: OscillatorModel, J: float, gamma: float
-) -> tuple[float, float]:
-    """First-order closed forms for <x> and <p> in |J, gamma>.
-
-    Valid while beta * gamma stays small: the secular terms linear in
-    gamma come from expanding exp(-i gamma e_n) to first order in the
-    deformation, so gamma here plays the role of omega t.
-    """
-    _check_j(J)
-    m, w, hbar, beta = model.mass, model.omega, model.hbar, model.beta
-    root_j = math.sqrt(J)
-    j32 = J * root_j
-    cos_g, sin_g = math.cos(gamma), math.sin(gamma)
-    # hbar sqrt(2 hbar m w), not sqrt(2 hbar^3 m w): hbar^3 underflows first
-    x = math.sqrt(2.0 * hbar * J / (m * w)) * cos_g + beta * hbar * math.sqrt(
-        2.0 * hbar * m * w
-    ) * (
-        0.25 * j32 * cos_g
-        - 0.25 * j32 * math.cos(3.0 * gamma)
-        - root_j * (1.0 + J) * gamma * sin_g
-    )
-    p = -math.sqrt(2.0 * hbar * m * w * J) * sin_g + beta * (
-        (hbar * m * w) ** 1.5 / (2.0 * math.sqrt(2.0))
-    ) * (
-        j32 * sin_g
-        + j32 * math.sin(3.0 * gamma)
-        + 2.0 * root_j * sin_g
-        - 4.0 * gamma * root_j * (1.0 + J) * cos_g
-    )
-    return x, p
-
-
 def trajectory_x_closed_form(model: OscillatorModel, amplitude: float, t):
     """<x(t)> for release from rest at the given amplitude.
 
         x(t) = A cos(wt) + beta (m^2 w^2 A^3 / 2) sin(wt)
                * [cos(wt) sin(wt) - wt (1 + 2 hbar / (m w A^2))]
 
-    This is expectation_xp_closed_form evaluated at J = m w A^2/(2 hbar)
-    and gamma = w t; the term linear in t encodes the deformation's
-    frequency pull and dominates once w t >> 1.  Valid while
-    beta-induced phases stay small.  Vectorized over t.
+    This is <x> in the generalized coherent state |J, 0> at
+    J = m w A^2 / (2 hbar), to first order in beta, after time t: expanding
+    exp(-i w t e_n) to that order gives the term linear in t, which encodes
+    the deformation's frequency pull and dominates once w t >> 1.  Valid
+    while beta-induced phases stay small.  Vectorized over t.
     """
-    if amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
+    if not 0.0 < amplitude < math.inf:
+        raise ValueError("amplitude must be positive and finite")
     m, w, hbar, beta = model.mass, model.omega, model.hbar, model.beta
     wt = w * np.asarray(t, dtype=float)
     secular = 1.0 + 2.0 * hbar / (m * w * amplitude**2)

@@ -1,10 +1,11 @@
-"""Small deterministic SVG line charts.
+"""The exclusion chart as deterministic SVG, and the row formatter of the writers.
 
-Exclusion plots need a log x axis, a handful of styled curves with a
-legend, and shading of the excluded side.  Emitting the SVG
-directly keeps the output byte-stable across runs and machines, which
-the CLI promises; nothing here depends on wall time, locale or any
-plotting library.
+The chart is alpha in [-1, 1] against beta0 on a log axis: a handful of
+styled curves with a legend, and shading of the excluded side.  Only the
+beta0 range and the curves vary; the title, axis labels and alpha ticks
+are fixed.  Emitting the SVG directly keeps the output byte-stable across
+runs and machines, which the CLI promises; nothing here depends on wall
+time, locale or any plotting library.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ __all__ = ["Series", "format_rows", "line_chart"]
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 18.0, 40.0, 48.0
 _WIDTH, _HEIGHT = 760.0, 520.0
+# the one chart drawn: alpha against beta0, with markup-free text
+_TITLE = "Excluded deformation parameters (shaded side ruled out)"
+_X_LABEL, _Y_LABEL = "beta0", "alpha"
+_Y_RANGE = (-1.0, 1.0)
+_Y_TICKS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -61,42 +67,12 @@ _XML_ESCAPES = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"} | {
 }
 
 
-def _escape(text: str) -> str:
-    return text.translate(_XML_ESCAPES)
+def line_chart(series: Sequence[Series], x_range: tuple[float, float]) -> str:
+    """Render exclusion curves on a log x axis to a standalone SVG document string.
 
-
-def _nice_step(span: float, target: int = 6) -> float:
-    raw = span / target
-    magnitude = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if mult * magnitude >= raw:
-            return mult * magnitude
-    return 10.0 * magnitude
-
-
-def _linear_ticks(lo: float, hi: float) -> list[float]:
-    step = _nice_step(hi - lo)
-    first = math.ceil(lo / step - 1e-9)
-    ticks = []
-    k = first
-    while k * step <= hi + 1e-9 * step:
-        ticks.append(k * step)
-        k += 1
-    return ticks
-
-
-def line_chart(
-    series: Sequence[Series],
-    x_range: tuple[float, float],
-    y_range: tuple[float, float],
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-) -> str:
-    """Render curves on a log x axis to a standalone SVG document string.
-
-    The region below each curve is shaded with a translucent wash of
-    its color.
+    The y axis, the title and the axis labels are fixed: alpha over
+    _Y_RANGE against beta0.  The region below each curve is shaded with a
+    translucent wash of its color.
     """
     if not series:
         raise ValueError("need at least one series")
@@ -105,12 +81,10 @@ def line_chart(
         raise ValueError("log x axis requires positive x values")
 
     width, height = _WIDTH, _HEIGHT
-    y_lo, y_hi = y_range
+    y_lo, y_hi = _Y_RANGE
     tx_lo, tx_hi = math.log10(x_range[0]), math.log10(x_range[1])
     if tx_hi <= tx_lo:
         tx_hi = tx_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
 
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
@@ -142,7 +116,6 @@ def line_chart(
     exponents = range(math.ceil(tx_lo), math.floor(tx_hi) + 1)
     step = 2 if (tx_hi - tx_lo) > 8 else 1
     x_ticks = [(10.0**e, f"1e{e:d}" if e else "1") for e in exponents if e % step == 0]
-    y_ticks = _linear_ticks(y_lo, y_hi)
     for value, label in x_ticks:
         x = px(math.log10(value))
         out.append(
@@ -153,7 +126,7 @@ def line_chart(
             f'<text x="{x:.2f}" y="{_MARGIN_T + plot_h + 16:.2f}" '
             f'text-anchor="middle">{label}</text>'
         )
-    for value in y_ticks:
+    for value in _Y_TICKS:
         y = py(value)
         out.append(
             f'<line x1="{_MARGIN_L:.2f}" y1="{y:.2f}" '
@@ -162,30 +135,20 @@ def line_chart(
         )
         out.append(
             f'<text x="{_MARGIN_L - 6:.2f}" y="{y + 4:.2f}" '
-            f'text-anchor="end">{value + 0.0:g}</text>'  # + 0.0 prints -0.0 as 0
+            f'text-anchor="end">{value:g}</text>'
         )
 
-    out.append(
+    # the frame, the title and the axis labels
+    y_mid = _MARGIN_T + plot_h / 2
+    out += [
         f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" '
-        f'height="{plot_h:.2f}" fill="none" stroke="#444444" stroke-width="1"/>'
-    )
-
-    if title:
-        out.append(
-            f'<text x="{width / 2:.2f}" y="22" text-anchor="middle" '
-            f'class="title">{_escape(title)}</text>'
-        )
-    if x_label:
-        out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 12:.2f}" '
-            f'text-anchor="middle">{_escape(x_label)}</text>'
-        )
-    if y_label:
-        y_mid = _MARGIN_T + plot_h / 2
-        out.append(
-            f'<text x="16" y="{y_mid:.2f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {y_mid:.2f})">{_escape(y_label)}</text>'
-        )
+        f'height="{plot_h:.2f}" fill="none" stroke="#444444" stroke-width="1"/>',
+        f'<text x="{width / 2:.2f}" y="22" text-anchor="middle" class="title">{_TITLE}</text>',
+        f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 12:.2f}" '
+        f'text-anchor="middle">{_X_LABEL}</text>',
+        f'<text x="16" y="{y_mid:.2f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {y_mid:.2f})">{_Y_LABEL}</text>',
+    ]
 
     # curves, a column at a time: each distinct x column is formatted once,
     # and the shading polygon reuses the polyline's coordinates
@@ -229,7 +192,7 @@ def line_chart(
             f'y2="{y - 4:.2f}" stroke="{color}" stroke-width="1.8"{dash}/>'
         )
         out.append(
-            f'<text x="{legend_x + 32:.2f}" y="{y:.2f}">{_escape(s.label)}</text>'
+            f'<text x="{legend_x + 32:.2f}" y="{y:.2f}">{s.label.translate(_XML_ESCAPES)}</text>'
         )
 
     out.append("</svg>")

@@ -337,11 +337,12 @@ def reference_exclusion_csv(curves) -> str:
 _CHART_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def reference_curve_elements(curves, x_range, y_range) -> list[str]:
+def reference_curve_elements(curves, x_range) -> list[str]:
     """The SVG curve elements of an exclusion chart, one point at a time.
 
     Scalar px/py on the 760 x 520 layout with margins 64 (left), 18
-    (right), 40 (top) and 48 (bottom), each coordinate formatted with
+    (right), 40 (top) and 48 (bottom), alpha in [-1, 1] on the y axis and
+    beta0 in x_range, log-scaled, on the x axis, each coordinate formatted with
     :.2f where it is written: per curve a shading polygon and a polyline,
     or a circle for a single point.  curves is as for
     reference_exclusion_csv.  Nothing from gup.
@@ -350,9 +351,7 @@ def reference_curve_elements(curves, x_range, y_range) -> list[str]:
     tx_lo, tx_hi = math.log10(x_range[0]), math.log10(x_range[1])
     if tx_hi <= tx_lo:
         tx_hi = tx_lo + 1.0
-    y_lo, y_hi = y_range
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    y_lo, y_hi = -1.0, 1.0
 
     def px(value):
         return 64.0 + (math.log10(value) - tx_lo) / (tx_hi - tx_lo) * plot_w

@@ -36,7 +36,6 @@ from gup.oscillator import (
     OscillatorModel,
     build_truncated_operators,
     evolve_gk,
-    expectation_xp_closed_form,
     gazeau_klauder_state,
     matrix_expectation,
     trajectory_x_closed_form,
@@ -102,7 +101,7 @@ def test_criterion_2_derived_length(fit_and_runtime):
 # The quoted c1 = 0.197 belongs to a lighter bob than the 1.22 kg used here.
 # With L taken from the intercept, c1 = 2 pi^2 m^2 / (T0 (M_p c)^2) depends
 # only on m, T0 and M_p c, so no rounding of L, g or M_p reaches 0.197; the
-# band 0.197 +- 0.0005 needs m in [1.2132, 1.2163] kg.  The registry's
+# band 0.197 +- 0.0005 needs m in [1.2132, 1.2163] kg.  The quoted
 # N = 7.32e26 (+- 0.005e26) gives m = N u in [1.2147, 1.2163] kg, and
 # m = 1.2155 kg gives c1 = 0.1972.  c0 = T0 / (16 L^2) does not depend on m,
 # which is why the quoted 0.0242 still matches.  Nothing in the repository
@@ -249,7 +248,9 @@ def test_criterion_8_quantum_classical_equivalence():
         ops = build_truncated_operators(model, dim)
         evolved = evolve_gk(state, t_probe)
         x_matrix = matrix_expectation(evolved, ops.x).real
-        x_closed, _ = expectation_xp_closed_form(model, J, t_probe)
+        # |J, 0> moves as a release from rest at sqrt(2 hbar J / (m omega))
+        release = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
+        x_closed = trajectory_x_closed_form(model, release, t_probe)
         residuals.append(abs(x_matrix - x_closed))
     slope = float(np.polyfit(np.log(betas), np.log(residuals), 1)[0])
 

@@ -171,13 +171,14 @@ class TestExclusionBoundary:
 
 class TestPendulumFit:
     def test_chain_of_library_calls(self, timing_series):
-        fit, length, length_se, ratio = pendulum_fit(timing_series, 1.22, 9.80393, 0.9)
+        fit, length, length_se, ratio, n = pendulum_fit(timing_series, 1.22, 9.80393, 0.9)
         reference = odr_fit(timing_series)
         assert (fit.slope, fit.intercept, fit.intercept_se) == (
             reference.slope, reference.intercept, reference.intercept_se)
         assert (length, length_se) == derived_length(fit.intercept, 9.80393, fit.intercept_se)
         pend = PendulumConfig(mass=1.22, length=length, gravity=9.80393)
         assert ratio == ratio_bound_from_fit(fit, pend, 0.9)
+        assert n == nucleon_count(1.22)
 
     @pytest.mark.parametrize("mass,gravity,message", [
         (1.22, 20.0, "ratio upper bound must be positive"),  # fitted slope above c0
@@ -192,13 +193,13 @@ class TestScenarioCurves:
     def test_bundled_registry(self):
         scenarios = load_scenarios()
         grid = beta0_log_grid(points=5)
-        fit_bound = RatioBound(0.0, 0.011)
-        curves = scenario_curves(scenarios, grid, fit_bound)
+        fitted = (0.011, 7.347e26)
+        curves = scenario_curves(scenarios, grid, fitted)
         plotted = [s for s in scenarios if s.style != "none"]
         assert len(plotted) == 4
         assert [c[0] for c in curves] == plotted
         for scenario, upper, n_particles, boundary in curves:
-            assert (upper, n_particles) == resolve_scenario(scenario, fit_bound)
+            assert (upper, n_particles) == resolve_scenario(scenario, fitted)
             expected = exclusion_boundary(upper, n_particles, grid).points
             assert np.array_equal(boundary.points, expected)
 
@@ -303,18 +304,26 @@ class TestRegistry:
         scenario = next(s for s in load_scenarios() if s.kind == "pendulum-fit")
         with pytest.raises(ScenarioError):
             resolve_scenario(scenario)
-        upper, n = resolve_scenario(scenario, RatioBound(0.0, 0.011))
-        assert upper == 0.011
-        assert n == 7.32e26
+        # B and N both come from the fit; the bundled entry registers no N
+        assert scenario.n_particles is None
+        assert resolve_scenario(scenario, (0.011, 7.347e26)) == (0.011, 7.347e26)
 
     def test_pendulum_scenario_rejects_parameters(self):
         # the fit reads mass, gravity, sigmas and level from the config only
         scenario = ExperimentScenario(
-            kind="pendulum-fit", label="bob", n_particles=7.32e26,
+            kind="pendulum-fit", label="bob", n_particles=None,
             parameters={"mass_kg": 1.22, "confidence_level": 0.9},
         )
         with pytest.raises(ScenarioError, match="confidence_level, mass_kg"):
-            resolve_scenario(scenario, RatioBound(0.0, 0.011))
+            resolve_scenario(scenario, (0.011, 7.347e26))
+
+    def test_pendulum_scenario_rejects_n_particles(self):
+        # N = m / u follows the config's mass, as in gup fit
+        scenario = ExperimentScenario(
+            kind="pendulum-fit", label="bob", n_particles=7.32e26, parameters={}
+        )
+        with pytest.raises(ScenarioError, match="pendulum.mass_kg, not n_particles"):
+            resolve_scenario(scenario, (0.011, 7.347e26))
 
     @pytest.mark.parametrize("kind", ["oscillator-frequency", "optomechanical"])
     def test_registered_kinds_read_ratio_upper(self, kind):

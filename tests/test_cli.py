@@ -56,11 +56,12 @@ class TestFit:
     def test_library_call_matches_report(self, capsys, in_tmp, timing_series):
         assert run(capsys, "fit")[0] == 0
         report = json.loads((in_tmp / "gup-fit.json").read_text())
-        fit, length, length_se, ratio = bounds.pendulum_fit(timing_series, 1.22, 9.80393, 0.95)
-        assert (fit.slope, fit.intercept, length, length_se, ratio.lower, ratio.upper) == (
+        fit, length, length_se, ratio, n = bounds.pendulum_fit(timing_series, 1.22, 9.80393,
+                                                               0.95)
+        assert (fit.slope, fit.intercept, length, length_se, ratio.lower, ratio.upper, n) == (
             report["slope_s_per_m2"], report["intercept_s"], report["derived_length_m"],
             report["derived_length_se_m"], report["ratio_bound"]["lower"],
-            report["ratio_bound"]["upper"],
+            report["ratio_bound"]["upper"], report["n_particles"],
         )
 
     def test_out_json_path(self, capsys, in_tmp):
@@ -330,6 +331,21 @@ class TestExclusion:
         # style "none" entries are registered but never plotted
         assert "pulsed optomechanics" not in out
 
+    @pytest.mark.parametrize("mass,n_text,alpha", [
+        (1.22, "7.347e+26", "0.0753"), (2.44, "1.469e+27", "0.0966"),
+    ])
+    def test_pendulum_curve_takes_n_from_the_fit(self, capsys, in_tmp, mass, n_text, alpha):
+        # gup fit and the pendulum curve count the bob's nucleons alike, N = m / u
+        (in_tmp / "conf.json").write_text(json.dumps({"pendulum": {"mass_kg": mass}}))
+        code, out, _ = run(capsys, "exclusion", "--config", "conf.json")
+        assert code == 0
+        assert out.splitlines()[0].startswith("macroscopic pendulum")
+        assert out.splitlines()[0].endswith(f" N={n_text} alpha_min(beta0=1)=+{alpha}")
+        code, out, _ = run(capsys, "fit", "--config", "conf.json")
+        assert code == 0
+        assert f"alpha_min(beta0=1) {alpha}\n" in out
+        assert f"{json.loads((in_tmp / 'gup-fit.json').read_text())['n_particles']:.4g}" == n_text
+
     def test_csv_output(self, capsys, in_tmp):
         code, _, _ = run(capsys, "exclusion", "--out-csv", "bounds.csv")
         assert code == 0
@@ -374,7 +390,6 @@ class TestExclusion:
         registry.write_text(json.dumps({"version": 1, "scenarios": [{
             "kind": "pendulum-fit",
             "label": "bob",
-            "n_particles": 7.32e26,
             "parameters": {"mass_kg": 1.5, "gravity_m_s2": 9.81},
         }]}))
         conf = in_tmp / "conf.json"
@@ -393,8 +408,7 @@ class TestExclusion:
              "parameters": {"density_kg_m3": 19300.0, "susceptibility": 3.4e-5,
                             "field_gradient_T_m": 100.0, "amplitude_m": 1e-6,
                             "damping_hz": 1e-3}},
-            {"kind": "pendulum-fit", "label": "bob", "n_particles": 7.32e26,
-             "parameters": {}},
+            {"kind": "pendulum-fit", "label": "bob", "parameters": {}},
         ]}))
         (in_tmp / "conf.json").write_text(json.dumps(
             {"pendulum": {"gravity_m_s2": 20}, "scenarios": registry}))
@@ -413,6 +427,59 @@ _ODD_LABELS = {"version": 1, "scenarios": [
     {"kind": "oscillator-frequency", "label": "trailing %",
      "n_particles": 1e30, "parameters": {"ratio_upper": 5.0}},
 ]}
+
+
+# every line but the curves of a default `gup exclusion --out-svg`, as written
+# before the chart's title, axis labels and alpha axis became fixed
+_DEFAULT_SVG_FRAME = [
+    '<svg xmlns="http://www.w3.org/2000/svg" width="760" height="520" viewBox="0 0 760 520">',
+    '<style>text{font-family:DejaVu '
+    'Sans,Helvetica,sans-serif;font-size:12px;fill:#222}.title{font-size:15px}</style>',
+    '<rect width="760" height="520" fill="#ffffff"/>',
+    '<clipPath id="plot"><rect x="64.00" y="40.00" width="678.00" height="432.00"/></clipPath>',
+    '<line x1="64.00" y1="40.00" x2="64.00" y2="472.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="64.00" y="488.00" text-anchor="middle">1e-4</text>',
+    '<line x1="177.00" y1="40.00" x2="177.00" y2="472.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="177.00" y="488.00" text-anchor="middle">1e-2</text>',
+    '<line x1="290.00" y1="40.00" x2="290.00" y2="472.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="290.00" y="488.00" text-anchor="middle">1</text>',
+    '<line x1="403.00" y1="40.00" x2="403.00" y2="472.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="403.00" y="488.00" text-anchor="middle">1e2</text>',
+    '<line x1="516.00" y1="40.00" x2="516.00" y2="472.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="516.00" y="488.00" text-anchor="middle">1e4</text>',
+    '<line x1="629.00" y1="40.00" x2="629.00" y2="472.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="629.00" y="488.00" text-anchor="middle">1e6</text>',
+    '<line x1="742.00" y1="40.00" x2="742.00" y2="472.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="742.00" y="488.00" text-anchor="middle">1e8</text>',
+    '<line x1="64.00" y1="472.00" x2="742.00" y2="472.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="58.00" y="476.00" text-anchor="end">-1</text>',
+    '<line x1="64.00" y1="364.00" x2="742.00" y2="364.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="58.00" y="368.00" text-anchor="end">-0.5</text>',
+    '<line x1="64.00" y1="256.00" x2="742.00" y2="256.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="58.00" y="260.00" text-anchor="end">0</text>',
+    '<line x1="64.00" y1="148.00" x2="742.00" y2="148.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="58.00" y="152.00" text-anchor="end">0.5</text>',
+    '<line x1="64.00" y1="40.00" x2="742.00" y2="40.00" stroke="#dddddd" stroke-width="1"/>',
+    '<text x="58.00" y="44.00" text-anchor="end">1</text>',
+    '<rect x="64.00" y="40.00" width="678.00" height="432.00" fill="none" '
+    'stroke="#444444" stroke-width="1"/>',
+    '<text x="380.00" y="22" text-anchor="middle" class="title">Excluded deformation '
+    'parameters (shaded side ruled out)</text>',
+    '<text x="403.00" y="508.00" text-anchor="middle">beta0</text>',
+    '<text x="16" y="256.00" text-anchor="middle" transform="rotate(-90 16 '
+    '256.00)">alpha</text>',
+    '<line x1="76.00" y1="50.00" x2="102.00" y2="50.00" stroke="#1f77b4" stroke-width="1.8"/>',
+    '<text x="108.00" y="54.00">macroscopic pendulum</text>',
+    '<line x1="76.00" y1="68.00" x2="102.00" y2="68.00" stroke="#d62728" stroke-width="1.8"/>',
+    '<text x="108.00" y="72.00">micromechanical membranes</text>',
+    '<line x1="76.00" y1="86.00" x2="102.00" y2="86.00" stroke="#2ca02c" stroke-width="1.8"/>',
+    '<text x="108.00" y="90.00">sapphire acoustic resonator</text>',
+    '<line x1="76.00" y1="104.00" x2="102.00" y2="104.00" stroke="#9467bd" '
+    'stroke-width="1.8" stroke-dasharray="7 5"/>',
+    '<text x="108.00" y="108.00">levitated gold sphere (projected)</text>',
+    '</svg>',
+    '',
+]
 
 
 def assert_curve_elements(expected: list, svg: str) -> None:
@@ -443,12 +510,12 @@ class TestExclusionWriters:
 
         resolved = cli.load_config("conf.json")
         grid = bounds.beta0_log_grid(**resolved["grid"])
-        *_, fit_bound = bounds.pendulum_fit(timing_series, 1.22, 9.80393, 0.95)
+        *_, ratio, n = bounds.pendulum_fit(timing_series, 1.22, 9.80393, 0.95)
         curves = [(s.label, s.style, boundary.points.tolist()) for s, _, _, boundary
                   in bounds.scenario_curves(bounds.load_scenarios(resolved["scenarios"]),
-                                            grid, fit_bound)]
+                                            grid, (ratio.upper, n))]
         assert (in_tmp / "b.csv").read_bytes() == reference_exclusion_csv(curves).encode()
-        expected = reference_curve_elements(curves, beta0_range, (-1.0, 1.0))
+        expected = reference_curve_elements(curves, beta0_range)
         assert_curve_elements(expected, (in_tmp / "b.svg").read_text())
 
     def test_labels_with_separators_are_quoted(self, capsys, in_tmp):
@@ -476,8 +543,15 @@ class TestExclusionWriters:
             ("single", "dashed", [(5.0, -0.5)]),
         ]
         series = [svgplot.Series(label, points, style) for label, style, points in curves]
-        svg = svgplot.line_chart(series, x_range=(1.0, 100.0), y_range=(-1.0, 1.0))
-        assert_curve_elements(reference_curve_elements(curves, (1.0, 100.0), (-1.0, 1.0)), svg)
+        svg = svgplot.line_chart(series, (1.0, 100.0))
+        assert_curve_elements(reference_curve_elements(curves, (1.0, 100.0)), svg)
+
+    def test_default_frame_is_unchanged(self, capsys, in_tmp):
+        assert run(capsys, "exclusion", "--out-svg", "a.svg")[0] == 0
+        lines = (in_tmp / "a.svg").read_text().split("\n")
+        curves = ("<polygon", "<polyline", "<circle")
+        assert sum(line.startswith(curves) for line in lines) == 2 * 4
+        assert [line for line in lines if not line.startswith(curves)] == _DEFAULT_SVG_FRAME
 
 
 class TestPeriod:
@@ -810,6 +884,14 @@ class TestQuantumCheck:
         code, _, err = run(capsys, "quantum-check", "--j", "30", "--dimension", "12")
         assert code == 2
         assert "numerical failure" in err
+
+    def test_action_past_the_summed_series_refused(self, capsys):
+        # the weights of |J, 0> peak near level J, beyond the 262,144 levels
+        # summed and far beyond the 1,024 the operators allow
+        assert run(capsys, "quantum-check", "--j", "1e6", "--beta", "1e-8") == (
+            2, "", "gup: numerical failure: J = 1e+06: the generalized coherent state's "
+            "series has not fallen off within 262144 levels, the most it is summed over; "
+            "the operators stop at 1024 levels\n")
 
     def test_oversized_fock_space_refused(self, capsys):
         # the ceiling must hold before the CLI is asked for 10,586 levels,

@@ -354,9 +354,10 @@ class TestTrajectory:
         assert np.max(np.abs(samples[:, 2] - expected)) <= 1e-6 * amplitude
 
     def test_rejects_bad_times(self, experiment):
-        with pytest.raises(ValueError):
+        message = r"^times must be non-decreasing within \[0, t_end\]$"
+        with pytest.raises(ValueError, match=message):
             integrate_trajectory(experiment, 0.0, 0.3, 1.0, times=[0.0, 2.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             integrate_trajectory(experiment, 0.0, 0.3, 1.0, times=[0.5, 0.1])
 
     def test_rejects_non_positive_horizon(self, experiment):
@@ -374,6 +375,14 @@ class TestTrajectory:
         # a NaN time used to come back as a silent NaN row
         with pytest.raises(ValueError, match="finite"):
             integrate_trajectory(experiment, 0.0, 0.3, 1.0, times=[0.0, bad, 1.0])
+
+    @pytest.mark.parametrize("times", [[], [[0.0, 0.5]], [0.0, math.nan]])
+    def test_time_grids_refused_as_for_the_oscillator(self, experiment, times):
+        message = "^times must be a non-empty 1-D sequence of finite values$"
+        with pytest.raises(ValueError, match=message):
+            integrate_trajectory(experiment, 0.0, 0.3, 1.0, times=times)
+        with pytest.raises(ValueError, match=message):
+            integrate_oscillator_trajectory(1.0, 1.0, 1e-3, 0.5, times)
 
     @pytest.mark.parametrize("beta0", [0.0, 1e6])
     def test_refuses_span_past_period_cap(self, experiment, beta0):

@@ -108,7 +108,6 @@ class TestWls:
         assert fit.slope == pytest.approx(0.5, rel=1e-12)
         assert fit.intercept == pytest.approx(2.0, rel=1e-12)
         assert fit.chi2 == pytest.approx(0.0, abs=1e-20)
-        assert fit.method == "wls"
 
     def test_matches_polyfit_oracle(self, rng):
         s = make_series(rng)

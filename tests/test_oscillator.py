@@ -18,7 +18,6 @@ from gup.oscillator import (
     build_truncated_operators,
     choose_dimension,
     evolve_gk,
-    expectation_xp_closed_form,
     gazeau_klauder_state,
     invariant_checks,
     matrix_expectation,
@@ -36,6 +35,11 @@ from conftest import (
 
 def model_units(beta=0.0, hbar=1.0):
     return OscillatorModel(mass=1.0, omega=1.0, hbar=hbar, beta=beta)
+
+
+def gk_amplitude(model: OscillatorModel, J: float) -> float:
+    """The release amplitude sqrt(2 hbar J / (m omega)) whose motion |J, 0> follows."""
+    return math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
 
 
 class TestModel:
@@ -318,7 +322,7 @@ class TestGKStates:
         with pytest.raises(ValueError, match="finite"):
             gazeau_klauder_state(gk_model, J, 0.0, dimension=40)
         with pytest.raises(ValueError, match="finite"):
-            expectation_xp_closed_form(gk_model, J, 0.0)
+            trajectory_x_closed_form(gk_model, gk_amplitude(gk_model, J), 0.0)
 
     def test_expectation_dimension_mismatch(self, gk_model):
         state = gazeau_klauder_state(gk_model, 2.0, 0.0)
@@ -327,28 +331,20 @@ class TestGKStates:
 
 
 class TestClosedForms:
-    def test_trajectory_equals_gk_expectation_form(self):
-        # same quantity through both parameterizations
-        model = OscillatorModel(mass=1.3, omega=0.9, hbar=0.02, beta=3e-3)
-        amp = 1.1
-        J = model.mass * model.omega * amp**2 / (2.0 * model.hbar)
-        for t in (0.0, 0.4, 2.0, 7.3):
-            x_exp, _ = expectation_xp_closed_form(model, J, model.omega * t)
-            assert trajectory_x_closed_form(model, amp, t) == pytest.approx(
-                x_exp, rel=1e-12
-            )
-
     def test_expectation_form_survives_tiny_hbar(self):
-        # hbar^3 m omega = 1e-500 underflows to 0; the beta term is
-        # beta hbar^2 sqrt(m omega) ~ 3e-106 times a J-sized factor
+        # hbar^3 m omega = 1e-500 underflows to 0; in units of sqrt(hbar / (m omega))
+        # <x> depends on J and nu = beta m hbar omega / 2 alone: it is the unit model's
         model = OscillatorModel(mass=1e-50, omega=1.0, hbar=1e-150, beta=2e194)
         J = 4.0
-        amp = math.sqrt(2.0 * model.hbar * J / (model.mass * model.omega))
+        unit = model_units(beta=model.beta * model.mass * model.hbar * model.omega)
+        amp, unit_amp = gk_amplitude(model, J), gk_amplitude(unit, J)
+        length = math.sqrt(model.hbar / (model.mass * model.omega))
         for t in (0.4, 2.0, 7.3):
-            x_exp, _ = expectation_xp_closed_form(model, J, model.omega * t)
-            x_traj = trajectory_x_closed_form(model, amp, t)
-            assert abs(x_traj - amp * math.cos(t)) > 1e-7 * amp
-            assert x_exp == pytest.approx(x_traj, rel=1e-12, abs=0.0)
+            x = trajectory_x_closed_form(model, amp, t)
+            assert abs(x - amp * math.cos(t)) > 1e-7 * amp
+            assert x / length == pytest.approx(
+                trajectory_x_closed_form(unit, unit_amp, t), rel=1e-12, abs=0.0
+            )
 
     def test_undeformed_is_pure_cosine(self):
         model = model_units(beta=0.0)
@@ -356,11 +352,6 @@ class TestClosedForms:
         np.testing.assert_allclose(
             trajectory_x_closed_form(model, 2.0, ts), 2.0 * np.cos(ts), rtol=1e-14
         )
-
-    def test_momentum_starts_at_zero(self):
-        model = model_units(beta=1e-3)
-        _, p0 = expectation_xp_closed_form(model, 3.0, 0.0)
-        assert p0 == 0.0
 
     def test_matrix_expectation_tracks_closed_form(self):
         model = model_units(beta=1e-5)
@@ -370,7 +361,7 @@ class TestClosedForms:
         for t in (0.3, 1.1):
             evolved = evolve_gk(state, t)
             x_matrix = matrix_expectation(evolved, ops.x).real
-            x_closed, _ = expectation_xp_closed_form(model, J, model.omega * t)
+            x_closed = trajectory_x_closed_form(model, gk_amplitude(model, J), t)
             assert x_matrix == pytest.approx(x_closed, abs=5e-8 * math.sqrt(2.0 * J))
 
     def test_matrix_residual_scales_as_beta_squared(self):
@@ -383,7 +374,7 @@ class TestClosedForms:
             ops = build_truncated_operators(model, 48)
             evolved = evolve_gk(state, t)
             x_matrix = matrix_expectation(evolved, ops.x).real
-            x_closed, _ = expectation_xp_closed_form(model, J, model.omega * t)
+            x_closed = trajectory_x_closed_form(model, gk_amplitude(model, J), t)
             residuals.append(abs(x_matrix - x_closed))
         slope = np.polyfit(np.log(betas), np.log(residuals), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.2)
