@@ -13,7 +13,8 @@ Subcommands, each with the library call that computes what it prints:
                  mechanics (oscillator.invariant_checks).
   scenarios      Registry inspection (bounds.load_scenarios).
 
-This module parses arguments, config and the dataset CSV, and formats.
+This module parses arguments, config and the dataset CSV, and formats the
+tables, the JSON report and both CSVs; gup.svgplot draws the chart.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
 A JSON config file (--config or the GUP_CONFIG environment variable)
@@ -295,6 +296,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # --- exclusion -------------------------------------------------------------
 
 
+def _format_rows(template: str, *columns: list) -> str:
+    """template once per row, filled from the columns in one C-level % pass.
+
+    Row i takes entry i of each column in turn, so the template holds one
+    conversion per column; a literal % in it must be written %%.
+    """
+    values = [None] * (len(columns[0]) * len(columns))
+    for offset, column in enumerate(columns):
+        values[offset :: len(columns)] = column
+    return template * len(columns[0]) % tuple(values)
+
+
 # what str.splitlines breaks at, escaped so that a label keeps its table row
 _LINE_BREAKS = {ord(c): c.encode("unicode_escape").decode()
                 for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
@@ -305,7 +318,7 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
     grid = bounds.beta0_log_grid(**config["grid"])
     scenarios = bounds.load_scenarios(config["scenarios"])
     fitted = None
-    if any(s.kind == "pendulum-fit" for s in scenarios):
+    if any(s.kind == "pendulum-fit" and s.style != "none" for s in scenarios):
         *_, ratio, nucleons = _pendulum_fit(config, bundled_dataset_path())
         fitted = ratio.upper, nucleons
     curves = bounds.scenario_curves(scenarios, grid, fitted)
@@ -317,19 +330,21 @@ def cmd_exclusion(args: argparse.Namespace) -> int:
         )
     if args.out_csv:
         # every boundary is sampled on grid: its column is formatted once
-        beta0_text = svgplot.format_rows("%.12g\n", grid.tolist()).splitlines()
+        beta0_text = _format_rows("%.12g\n", grid.tolist()).splitlines()
         with open(args.out_csv, "w", encoding="utf-8") as handle:
             handle.write("label,beta0,alpha_min,style\n")
             for scenario, _, _, boundary in curves:
                 label = scenario.label.replace("%", "%%")
                 if any(c in label for c in ',"\r\n'):  # quoted as RFC 4180 asks
                     label = '"' + label.replace('"', '""') + '"'
-                handle.write(svgplot.format_rows(f"{label},%s,%.12g,{scenario.style}\n",
-                                                 beta0_text, boundary.points[:, 1].tolist()))
+                handle.write(_format_rows(f"{label},%s,%.12g,{scenario.style}\n",
+                                          beta0_text, boundary.points[:, 1].tolist()))
         print(f"boundary CSV written to {args.out_csv}")
     if args.out_svg:
+        # each boundary is straight in (log beta0, alpha): its grid ends draw it
+        ends = [0, -1] if len(grid) > 1 else [0]
         series = [
-            svgplot.Series(label=scenario.label, points=boundary.points, style=scenario.style)
+            svgplot.Series(label=scenario.label, points=boundary.points[ends], style=scenario.style)
             for scenario, _, _, boundary in curves
         ]
         svg = svgplot.line_chart(
@@ -373,7 +388,7 @@ def cmd_period(args: argparse.Namespace) -> int:
         )
         with open(args.out_csv, "w", encoding="utf-8") as handle:
             handle.write("time_s,angle_rad,displacement_m\n")
-            handle.write(svgplot.format_rows("%.12g,%.12g,%.12g\n", *samples.T.tolist()))
+            handle.write(_format_rows("%.12g,%.12g,%.12g\n", *samples.T.tolist()))
         print(f"trajectory written to {args.out_csv}")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""The exclusion chart as deterministic SVG, and the row formatter of the writers.
+"""The exclusion chart as deterministic SVG.
 
 The chart is alpha in [-1, 1] against beta0 on a log axis: a handful of
 styled curves with a legend, and shading of the excluded side.  Only the
@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-__all__ = ["Series", "format_rows", "line_chart"]
+__all__ = ["Series", "line_chart"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 18.0, 40.0, 48.0
@@ -47,18 +45,6 @@ class Series:
             raise ValueError("a series needs at least one point")
 
 
-def format_rows(template: str, *columns: list) -> str:
-    """template once per row, filled from the columns in one C-level % pass.
-
-    Row i takes entry i of each column in turn, so the template holds one
-    conversion per column; a literal % in it must be written %%.
-    """
-    values = [None] * (len(columns[0]) * len(columns))
-    for offset, column in enumerate(columns):
-        values[offset :: len(columns)] = column
-    return template * len(columns[0]) % tuple(values)
-
-
 # markup characters as entities, and what XML 1.0 forbids in text as the
 # backslash escapes the stdout tables print
 _XML_ESCAPES = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"} | {
@@ -71,13 +57,12 @@ def line_chart(series: Sequence[Series], x_range: tuple[float, float]) -> str:
     """Render exclusion curves on a log x axis to a standalone SVG document string.
 
     The y axis, the title and the axis labels are fixed: alpha over
-    _Y_RANGE against beta0.  The region below each curve is shaded with a
-    translucent wash of its color.
+    _Y_RANGE against beta0.  Each curve is a polyline through its points, a
+    dot if it has one, and the region below it is shaded with a translucent
+    wash of its color.
     """
-    if not series:
-        raise ValueError("need at least one series")
-    points = [np.asarray(s.points, dtype=float) for s in series]
-    if any(np.any(xy[:, 0] <= 0.0) for xy in points):
+    points = [[(float(x), float(y)) for x, y in s.points] for s in series]
+    if any(x <= 0.0 for xy in points for x, _ in xy):
         raise ValueError("log x axis requires positive x values")
 
     width, height = _WIDTH, _HEIGHT
@@ -89,7 +74,7 @@ def line_chart(series: Sequence[Series], x_range: tuple[float, float]) -> str:
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
 
-    # scalars and arrays alike; px takes log10 of the data value
+    # px takes log10 of the data value
     def px(log_value):
         return _MARGIN_L + (log_value - tx_lo) / (tx_hi - tx_lo) * plot_w
 
@@ -150,27 +135,21 @@ def line_chart(series: Sequence[Series], x_range: tuple[float, float]) -> str:
         f'transform="rotate(-90 16 {y_mid:.2f})">{_Y_LABEL}</text>',
     ]
 
-    # curves, a column at a time: each distinct x column is formatted once,
-    # and the shading polygon reuses the polyline's coordinates
-    bottom = f"{_MARGIN_T + plot_h:.2f}"
-    x_columns: list[tuple[np.ndarray, list[str]]] = []
+    # curves: a polyline through the given points, shaded down to the x axis
+    bottom = _MARGIN_T + plot_h
     for index, (s, xy) in enumerate(zip(series, points)):
         color = _PALETTE[index % len(_PALETTE)]
-        x_text = next((text for xs, text in x_columns if np.array_equal(xs, xy[:, 0])), None)
-        if x_text is None:
-            log_x = np.fromiter(map(math.log10, xy[:, 0].tolist()), float, len(xy))
-            x_text = format_rows("%.2f\n", px(log_x).tolist()).splitlines()
-            x_columns.append((xy[:, 0], x_text))
-        path = format_rows("%s,%.2f ", x_text, py(xy[:, 1]).tolist())[:-1]
+        coords = [(px(math.log10(x)), py(y)) for x, y in xy]
         dash = ' stroke-dasharray="7 5"' if s.style == "dashed" else ""
-        if len(xy) == 1:
-            x, y = path.split(",")
+        if len(coords) == 1:
+            x, y = coords[0]
             out.append(
-                f'<circle cx="{x}" cy="{y}" r="3" fill="{color}" '
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" '
                 'clip-path="url(#plot)"/>'
             )
         else:
-            shade = f"{path} {x_text[-1]},{bottom} {x_text[0]},{bottom}"
+            path = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
+            shade = f"{path} {coords[-1][0]:.2f},{bottom:.2f} {coords[0][0]:.2f},{bottom:.2f}"
             out.append(
                 f'<polygon points="{shade}" fill="{color}" fill-opacity="0.07" '
                 'stroke="none" clip-path="url(#plot)"/>'

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -418,6 +419,19 @@ class TestExclusion:
         assert run(capsys, "exclusion", "--config", "conf.json") == (
             1, "", "gup: error: scenario 'no radius' lacks 'radius_m'\n")
 
+    def test_undrawn_pendulum_entry_is_not_fitted(self, capsys, in_tmp):
+        # at g = 20 m/s^2 the fit is refused, but no drawn curve needs it
+        (in_tmp / "reg.json").write_text(json.dumps({"version": 1, "scenarios": [
+            {"kind": "pendulum-fit", "label": "bob", "style": "none", "parameters": {}},
+            {"kind": "optomechanical", "label": "membranes", "n_particles": 5e18,
+             "parameters": {"ratio_upper": 2e-3}},
+        ]}))
+        (in_tmp / "conf.json").write_text(json.dumps(
+            {"pendulum": {"gravity_m_s2": 20}, "scenarios": "reg.json"}))
+        code, out, err = run(capsys, "exclusion", "--config", "conf.json")
+        assert (code, err) == (0, "")
+        assert [line.split()[0] for line in out.splitlines()] == ["membranes"]
+
 
 _ODD_LABELS = {"version": 1, "scenarios": [
     {"kind": "oscillator-frequency", "label": "100% <b> & %s %(x)d",
@@ -482,6 +496,27 @@ _DEFAULT_SVG_FRAME = [
 ]
 
 
+def curve_ends(curves) -> list:
+    """curves as for reference_curve_elements, each cut to its first and last point."""
+    return [(label, style, [points[0], points[-1]] if len(points) > 1 else points)
+            for label, style, points in curves]
+
+
+def polyline_vertices(svg: str) -> list:
+    """The (x, y) vertices of each polyline in svg, as written."""
+    return [[tuple(map(float, pair.split(","))) for pair in points.split()]
+            for points in re.findall(r'<polyline points="([^"]*)"', svg)]
+
+
+def segment_distance(point, a, b) -> float:
+    """Euclidean distance from point to the segment from a to b."""
+    (x, y), (ax, ay), (bx, by) = point, a, b
+    dx, dy = bx - ax, by - ay
+    length_sq = dx * dx + dy * dy
+    t = 0.0 if length_sq == 0.0 else min(1.0, max(0.0, ((x - ax) * dx + (y - ay) * dy) / length_sq))
+    return math.hypot(x - ax - t * dx, y - ay - t * dy)
+
+
 def assert_curve_elements(expected: list, svg: str) -> None:
     """The chart's curve elements form one block of lines equal to expected."""
     lines = svg.split("\n")
@@ -491,7 +526,7 @@ def assert_curve_elements(expected: list, svg: str) -> None:
 
 
 class TestExclusionWriters:
-    """The column-at-a-time CSV and SVG writers against per-point references."""
+    """The column-at-a-time CSV writer and the chart against per-point references."""
 
     @pytest.mark.parametrize("registry", ["bundled", "odd labels"])
     @pytest.mark.parametrize("beta0_range", [(1e-4, 1e8), (1e-300, 1e300), (3.0, 3.0)])
@@ -515,8 +550,16 @@ class TestExclusionWriters:
                   in bounds.scenario_curves(bounds.load_scenarios(resolved["scenarios"]),
                                             grid, (ratio.upper, n))]
         assert (in_tmp / "b.csv").read_bytes() == reference_exclusion_csv(curves).encode()
-        expected = reference_curve_elements(curves, beta0_range)
-        assert_curve_elements(expected, (in_tmp / "b.svg").read_text())
+        # each boundary is drawn by its grid ends; every vertex of the
+        # per-point drawing lies within its own 0.01 px print rounding of it
+        svg = (in_tmp / "b.svg").read_text()
+        assert_curve_elements(reference_curve_elements(curve_ends(curves), beta0_range), svg)
+        drawn = polyline_vertices(svg)
+        per_point = polyline_vertices("\n".join(reference_curve_elements(curves, beta0_range)))
+        assert len(drawn) == len(per_point) == (len(curves) if points > 1 else 0)
+        for segment, vertices in zip(drawn, per_point):
+            assert len(segment) == 2
+            assert max(segment_distance(vertex, *segment) for vertex in vertices) <= 0.01
 
     def test_labels_with_separators_are_quoted(self, capsys, in_tmp):
         labels = ["membranes, SiN", 'the "bar" pendulum', "two\nlines", "cr\r, 100%"]
@@ -552,6 +595,20 @@ class TestExclusionWriters:
         curves = ("<polygon", "<polyline", "<circle")
         assert sum(line.startswith(curves) for line in lines) == 2 * 4
         assert [line for line in lines if not line.startswith(curves)] == _DEFAULT_SVG_FRAME
+
+    def test_nothing_to_draw(self, capsys, in_tmp):
+        (in_tmp / "reg.json").write_text(json.dumps({"version": 1, "scenarios": [
+            {"kind": "optomechanical", "label": "membranes", "style": "none",
+             "n_particles": 5e18, "parameters": {"ratio_upper": 2e-3}},
+        ]}))
+        (in_tmp / "conf.json").write_text(json.dumps({"scenarios": "reg.json"}))
+        code, _, err = run(capsys, "exclusion", "--config", "conf.json",
+                           "--out-csv", "n.csv", "--out-svg", "n.svg")
+        assert (code, err) == (0, "")
+        assert (in_tmp / "n.csv").read_text() == "label,beta0,alpha_min,style\n"
+        legend = ('<line x1="76.00"', '<text x="108.00"')
+        frame = [line for line in _DEFAULT_SVG_FRAME if not line.startswith(legend)]
+        assert (in_tmp / "n.svg").read_text().split("\n") == frame
 
 
 class TestPeriod:
