@@ -7,24 +7,21 @@ canonical variable ptilde = arctan(sqrt(beta) p) / sqrt(beta) restores
 
 Two systems are covered:
 
-* a plane pendulum parametrised by the horizontal displacement of the
-  bob, valid for swing angles below pi/2, with
-  H = p^2 cos^2(theta) / (2 m) - m g L cos(theta) after the remap, and
+* a plane pendulum parametrised by its swing angle theta, valid below
+  pi/2, with H = p^2 cos^2(theta) / (2 m) - m g L cos(theta) after the
+  remap, p conjugate to the bob's horizontal coordinate L sin(theta), and
 * the harmonic oscillator that the pendulum turns into in the
   small-amplitude limit, used for classical-limit comparisons.
 
 The oscillator's motion has a closed form.  The pendulum is integrated in
-its canonical pair x = L sin(theta) and ptilde, with
-
-    H(x, ptilde) = tan^2(sqrt(beta) ptilde) c^2 / (2 m beta) - m g L c,
-    c = sqrt(1 - x^2 / L^2),
-
-that is, p^2 c^2 / (2 m) - m g L c, with p = ptilde at beta = 0.
-Hamilton's equations in (x, ptilde) are smooth through the turning
-points, where ptilde passes through zero.  The swing is even in time and
-in x, so one solve from rest to the first zero crossing, a quarter period,
-fixes the whole motion: a Dormand-Prince 5(4) pair (J. Comput. Appl. Math.
-6 (1980) 19) with Shampine's continuous extension (Math. Comp. 46 (1986) 135).
+theta and ptilde, canonical to L sin(theta), with p = tan(sqrt(beta)
+ptilde) / sqrt(beta) in H (p = ptilde at beta = 0).  Hamilton's equations,
+dtheta/dt = dH/dptilde / (L cos(theta)) and dptilde/dt = -dH/dtheta /
+(L cos(theta)), are smooth through the turning points, where ptilde
+passes through zero.  The swing is even in time and in theta, so one
+solve from rest to the first zero crossing, a quarter period, fixes the
+whole motion: a Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6 (1980)
+19) with Shampine's continuous extension (Math. Comp. 46 (1986) 135).
 """
 
 from __future__ import annotations
@@ -350,36 +347,35 @@ def _dp54_step(f, y, k1, h):
 def _quarter_swing(pend: PendulumConfig, beta: float, phi: float, rel_tol: float):
     """One Dormand-Prince 5(4) solve of the swing from rest to its first zero crossing t_1.
 
-    Evolves Hamilton's equations in (x, ptilde) for H = p(ptilde)^2 c^2 / (2 m)
-    - m g L c, c = sqrt(1 - x^2 / L^2), from rest at x = L sin(phi), as one
-    complex state x + i ptilde (Dormand & Prince, J. Comput. Appl. Math. 6
-    (1980) 19).  Steps are controlled as scipy's RK45 does (RMS error norm,
+    Evolves dtheta/dt = p cos(theta) p'(ptilde) / (m L) and dptilde/dt =
+    sin(theta) (p^2 / (m L) - m g / cos(theta)) from rest at theta = phi, as
+    one complex state theta + i ptilde (Dormand & Prince, J. Comput. Appl. Math.
+    6 (1980) 19).  Steps are controlled as scipy's RK45 does (RMS error norm,
     safety 0.9, growth in [0.2, 10]) within a span a fifth past t_1 <= (pi/2)
     sqrt(L/g) / cos(phi/2): K(k) <= (pi/2) / sqrt(1 - k^2), and the deformation
     only shortens the swing.  Newton on the length of the step that crosses
-    x = 0 gives t_1.  Returns t_1 and the accepted steps, for _swing_states.
+    theta = 0 gives t_1.  Returns t_1 and the accepted steps, for _swing_states.
     """
     mass, length = pend.mass, pend.length
     weight = mass * pend.gravity
     root = math.sqrt(beta)
 
     def rhs(state):
-        x, ptilde = state.real, state.imag
-        c2 = 1.0 - (x / length) ** 2
-        # NaN makes the step controller reject a stage past |x| = L or p's pole
-        if c2 <= 0.0 or root * abs(ptilde) >= 0.5 * math.pi:
+        theta, ptilde = state.real, state.imag
+        cos = math.cos(theta)
+        # NaN makes the step controller reject a stage past |theta| = pi/2 or p's pole
+        if cos <= 0.0 or root * abs(ptilde) >= 0.5 * math.pi:
             return complex(math.nan, math.nan)
         p, slope = _physical_momentum(ptilde, root)
-        velocity = p * c2 * slope / mass
-        force = (x / length) * (p * p / (mass * length) - weight / math.sqrt(c2))
+        velocity = p * cos * slope / (mass * length)
+        force = math.sin(theta) * (p * p / (mass * length) - weight / cos)
         return complex(velocity, force)
 
-    x0 = length * math.sin(phi)
     # momentum at the bottom of the swing, m sqrt(2 g L (1 - cos(phi)))
     p_max = 2.0 * mass * math.sin(0.5 * phi) * math.sqrt(pend.gravity * length)
-    atol_x, atol_p = rel_tol * 1e-2 * x0, rel_tol * 1e-2 * momentum_remap(p_max, beta)
+    atol_theta, atol_p = rel_tol * 1e-2 * phi, rel_tol * 1e-2 * momentum_remap(p_max, beta)
     span = 0.6 * math.pi * math.sqrt(length / pend.gravity) / math.cos(0.5 * phi)
-    t, y, h, rejected, steps = 0.0, complex(x0, 0.0), 1e-3 * span, False, []
+    t, y, h, rejected, steps = 0.0, complex(phi, 0.0), 1e-3 * span, False, []
     k = rhs(y)
     while y.real > 0.0:
         if t >= span:
@@ -388,10 +384,10 @@ def _quarter_swing(pend: PendulumConfig, beta: float, phi: float, rel_tol: float
         if h < 10.0 * math.ulp(t):
             raise TrajectoryError(f"swing integration failed: step {h:.3g} s at t = {t:.6g} s")
         end, error, slopes = _dp54_step(rhs, y, k, h)
-        # x and ptilde barely move near |x| = L and p's pole: weigh them as theta and p
-        c, w = math.sqrt(1.0 - (y.real / length) ** 2), math.cos(root * y.imag)
+        # ptilde barely moves near p's pole: weigh its error as p's
+        w = math.cos(root * y.imag)
         norm = 0.5 ** 0.5 * math.hypot(  # RMS over the two
-            error.real / (atol_x + c * rel_tol * max(abs(y.real), abs(end.real))),
+            error.real / (atol_theta + rel_tol * max(abs(y.real), abs(end.real))),
             error.imag / (atol_p + w * rel_tol * max(abs(y.imag), abs(end.imag))))
         if not norm < 1.0:  # NaN too
             h, rejected = h * max(0.2, 0.9 * norm ** -0.2), True
@@ -400,7 +396,7 @@ def _quarter_swing(pend: PendulumConfig, beta: float, phi: float, rel_tol: float
         grow = min(0.9 * norm ** -0.2 if norm else 10.0, 1.0 if rejected else 10.0)
         t, y, k, h, rejected = t + h, end, slopes[-1], h * grow, False
     t, h, y, slopes = steps[-1]
-    for _ in range(8):  # Newton on x(t + h) = 0, dx/dt being the last stage slope
+    for _ in range(8):  # Newton on theta(t + h) = 0, dtheta/dt being the last stage slope
         h -= (dh := end.real / slopes[-1].real)
         if abs(dh) <= 1e-3 * rel_tol * (t + h):
             break
@@ -411,7 +407,7 @@ def _quarter_swing(pend: PendulumConfig, beta: float, phi: float, rel_tol: float
 
 
 def _swing_states(steps, times: np.ndarray) -> np.ndarray:
-    """x + i ptilde at times in [0, t_1] from the steps of _quarter_swing."""
+    """theta + i ptilde at times in [0, t_1] from the steps of _quarter_swing."""
     starts, sizes, states, slopes = (np.array(column) for column in zip(*steps))
     i = np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
     u = (times - starts[i]) / sizes[i]
@@ -440,14 +436,14 @@ def integrate_trajectory(
     """Sample a swing released from rest at theta = +phi.
 
     Returns a read-only (n, 3) float64 array of (time, angle, displacement)
-    rows, displacement being the bob's horizontal coordinate x = L sin(angle).
+    rows, displacement being the bob's horizontal coordinate L sin(angle).
     One quarter swing is solved, to its first zero crossing t_1, and the
-    motion, even in time and in x with period 4 t_1, is unfolded from the
+    motion, even in time and in theta with period 4 t_1, is unfolded from the
     continuous extension of its steps: t maps to s = |((t + 2 t_1) mod 4 t_1)
-    - 2 t_1| in [0, 2 t_1], and x(t) = x(s) for s <= t_1, -x(2 t_1 - s)
-    beyond.  Unless explicit times are given, rows lie on a uniform grid of
-    256 per period (at least 64); they are monotone in time either way.  A
-    t_end past _MAX_PERIODS periods raises ValueError.
+    - 2 t_1| in [0, 2 t_1], and theta(t) = theta(s) for s <= t_1,
+    -theta(2 t_1 - s) beyond.  Unless explicit times are given, rows lie on
+    a uniform grid of 256 per period (at least 64); they are monotone in
+    time either way.  A t_end past _MAX_PERIODS periods raises ValueError.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     t_end = float(t_end)
@@ -463,11 +459,10 @@ def integrate_trajectory(
     if grid is None:
         grid = np.linspace(0.0, t_end, max(64, round(64 * t_end / t_1)))
     s = np.abs(np.mod(grid + 2.0 * t_1, 4.0 * t_1) - 2.0 * t_1)
-    beyond = s > t_1  # past the crossing, x = -x(2 t_1 - s)
-    x = _swing_states(steps, np.where(beyond, 2.0 * t_1 - s, s)).real
-    displacements = np.where(beyond, -x, x)
-    angles = np.arcsin(displacements / pend.length)
-    samples = np.column_stack((grid, angles, displacements))
+    beyond = s > t_1  # past the crossing, theta = -theta(2 t_1 - s)
+    theta = _swing_states(steps, np.where(beyond, 2.0 * t_1 - s, s)).real
+    angles = np.where(beyond, -theta, theta)
+    samples = np.column_stack((grid, angles, pend.length * np.sin(angles)))
     samples.flags.writeable = False
     return samples
 
@@ -480,9 +475,9 @@ def trajectory_period(
 ) -> float:
     """Period 4 t_1 of a swing integrated to its first zero crossing t_1.
 
-    H(x, ptilde) is even in x and in ptilde and the bob starts from rest, so
-    the motion is symmetric in time and in x.  t_1 ends one Dormand-Prince 5(4)
-    solve (J. Comput. Appl. Math. 6 (1980) 19); see _quarter_swing.
+    H is even in theta and in ptilde and the bob starts from rest, so the
+    motion is symmetric in time and in theta.  t_1 ends one Dormand-Prince
+    5(4) solve (J. Comput. Appl. Math. 6 (1980) 19); see _quarter_swing.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     return 4.0 * _quarter_swing(pend, beta, phi, rel_tol)[0]

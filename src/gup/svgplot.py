@@ -57,9 +57,9 @@ def line_chart(series: Sequence[Series], x_range: tuple[float, float]) -> str:
     """Render exclusion curves on a log x axis to a standalone SVG document string.
 
     The y axis, the title and the axis labels are fixed: alpha over
-    _Y_RANGE against beta0.  Each curve is a polyline through its points, a
-    dot if it has one, and the region below it is shaded with a translucent
-    wash of its color.
+    _Y_RANGE against beta0, labelled at nine decades at most.  Each curve
+    is a polyline through its points, a dot if it has one, and the region
+    below it is shaded with a translucent wash of its color.
     """
     points = [[(float(x), float(y)) for x, y in s.points] for s in series]
     if any(x <= 0.0 for xy in points for x, _ in xy):
@@ -99,7 +99,7 @@ def line_chart(series: Sequence[Series], x_range: tuple[float, float]) -> str:
 
     # gridlines and ticks
     exponents = range(math.ceil(tx_lo), math.floor(tx_hi) + 1)
-    step = 2 if (tx_hi - tx_lo) > 8 else 1
+    step = math.ceil((tx_hi - tx_lo) / 8)
     x_ticks = [(10.0**e, f"1e{e:d}" if e else "1") for e in exponents if e % step == 0]
     for value, label in x_ticks:
         x = px(math.log10(value))

@@ -103,7 +103,8 @@ def pendulum_zero_crossings(
 
     with scipy's DOP853 at rtol 1e-12, over whole periods and with no
     symmetry used.  Independent of the package under test, which evolves
-    (x, arctan(sqrt(beta) p) / sqrt(beta)) over a quarter swing.
+    (theta, arctan(sqrt(beta) p) / sqrt(beta)) over a quarter swing with
+    its own Dormand-Prince pair.
     """
     from scipy.integrate import solve_ivp
 

@@ -596,6 +596,15 @@ class TestExclusionWriters:
         assert sum(line.startswith(curves) for line in lines) == 2 * 4
         assert [line for line in lines if not line.startswith(curves)] == _DEFAULT_SVG_FRAME
 
+    @pytest.mark.parametrize("x_range,labels", [
+        ((1e-4, 1e8), ["1e-4", "1e-2", "1", "1e2", "1e4", "1e6", "1e8"]),
+        ((1e-300, 1e300), [f"1e{e}" if e else "1" for e in range(-300, 301, 75)]),
+    ])
+    def test_at_most_nine_x_labels(self, x_range, labels):
+        # every second decade of (1e-300, 1e300) was 301 labels 2.26 px apart
+        svg = svgplot.line_chart([svgplot.Series("one", [(1.0, 0.0)], "solid")], x_range)
+        assert re.findall(r'text-anchor="middle">(1|1e-?\d+)</text>', svg) == labels
+
     def test_nothing_to_draw(self, capsys, in_tmp):
         (in_tmp / "reg.json").write_text(json.dumps({"version": 1, "scenarios": [
             {"kind": "optomechanical", "label": "membranes", "style": "none",
