@@ -20,14 +20,16 @@ dtheta/dt = dH/dptilde / (L cos(theta)) and dptilde/dt = -dH/dtheta /
 (L cos(theta)), are smooth through the turning points, where ptilde
 passes through zero.  The swing is even in time and in theta, so one
 solve from rest to the first zero crossing, a quarter period, fixes the
-whole motion: a Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6 (1980)
-19) with Shampine's continuous extension (Math. Comp. 46 (1986) 135).
+whole motion: Dormand and Prince's 8(5,3) pair DOP853 with its 7th-order
+continuous extension (Hairer, Norsett & Wanner, Solving Ordinary
+Differential Equations I, 2nd ed. (1993), II.10 and II.6).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -313,106 +315,193 @@ def _physical_momentum(ptilde: float, root: float) -> tuple[float, float]:
     """
     if root == 0.0:
         return ptilde, 1.0
-    u = root * ptilde
-    return math.tan(u) / root, 1.0 / math.cos(u) ** 2
+    tan = math.tan(root * ptilde)
+    return tan / root, 1.0 + tan * tan
 
 
-# Shampine's continuous extension (Math. Comp. 46 (1986) 135): y(t + u h) = y + h K P (u .. u^4)
-_DP54_DENSE = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# DOP853's continuous extension, y(t + u h) = y + sum_j F_j u^((j+2)//2) (1-u)^((j+1)//2):
+# F_0..F_2 from the step's rise and end slopes, h times these rows of k1, k6..k16 for F_3..F_6
+_DOP853_DENSE = np.array([
+    [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+]).T
 
 
-def _dp54_step(f, y, k1, h):
-    """Dormand-Prince step from y, k1 = f(y): end, error, slopes K less k2, which weighs 0."""
-    k2 = f(y + h * (0.2 * k1))
-    k3 = f(y + h * (3 / 40 * k1 + 9 / 40 * k2))
-    k4 = f(y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
-    k5 = f(y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4))
-    k6 = f(y + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
-                    - 5103 / 18656 * k5))
-    end = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5
-                   + 11 / 84 * k6)
-    k7 = f(end)
-    error = h * (-71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4 + 17253 / 339200 * k5
-                 - 22 / 525 * k6 + 0.025 * k7)
-    return end, error, (k1, k3, k4, k5, k6, k7)
+def _dop853_step(f, k1, h):
+    """DOP853 step of length h: rise, 5th- and 3rd-order errors, slopes k1, k6..k12, f(rise).
+
+    f(d) is the slope at the step's start plus d, k1 = f(0).  k2..k5 have no
+    weight in the rise, the errors or the continuous extension.
+    """
+    k2 = f(h * (0.05260015195876773 * k1))
+    k3 = f(h * (0.0197250569845379 * k1 + 0.0591751709536137 * k2))
+    k4 = f(h * (0.02958758547680685 * k1 + 0.08876275643042054 * k3))
+    k5 = f(h * (0.2413651341592667 * k1 - 0.8845494793282861 * k3 + 0.924834003261792 * k4))
+    k6 = f(h * (0.037037037037037035 * k1 + 0.17082860872947386 * k4 + 0.12546768756682242 * k5))
+    k7 = f(h * (0.037109375 * k1 + 0.17025221101954405 * k4 + 0.06021653898045596 * k5
+                - 0.017578125 * k6))
+    k8 = f(h * (0.03709200011850479 * k1 + 0.17038392571223998 * k4 + 0.10726203044637328 * k5
+                - 0.015319437748624402 * k6 + 0.008273789163814023 * k7))
+    k9 = f(h * (0.6241109587160757 * k1 - 3.3608926294469414 * k4 - 0.868219346841726 * k5
+                + 27.59209969944671 * k6 + 20.154067550477894 * k7 - 43.48988418106996 * k8))
+    k10 = f(h * (0.47766253643826434 * k1 - 2.4881146199716677 * k4 - 0.590290826836843 * k5
+                 + 21.230051448181193 * k6 + 15.279233632882423 * k7 - 33.28821096898486 * k8
+                 - 0.020331201708508627 * k9))
+    k11 = f(h * (-0.9371424300859873 * k1 + 5.186372428844064 * k4 + 1.0914373489967295 * k5
+                 - 8.149787010746927 * k6 - 18.52006565999696 * k7 + 22.739487099350505 * k8
+                 + 2.4936055526796523 * k9 - 3.0467644718982196 * k10))
+    k12 = f(h * (2.273310147516538 * k1 - 10.53449546673725 * k4 - 2.0008720582248625 * k5
+                 - 17.9589318631188 * k6 + 27.94888452941996 * k7 - 2.8589982771350235 * k8
+                 - 8.87285693353063 * k9 + 12.360567175794303 * k10 + 0.6433927460157636 * k11))
+    rise = h * (0.054293734116568765 * k1 + 4.450312892752409 * k6 + 1.8915178993145003 * k7
+                - 5.801203960010585 * k8 + 0.3111643669578199 * k9 - 0.1521609496625161 * k10
+                + 0.20136540080403034 * k11 + 0.04471061572777259 * k12)
+    err5 = h * (0.01312004499419488 * k1 - 1.2251564463762044 * k6 - 0.4957589496572502 * k7
+                + 1.6643771824549864 * k8 - 0.35032884874997366 * k9
+                + 0.3341791187130175 * k10 + 0.08192320648511571 * k11
+                - 0.022355307863886294 * k12)
+    err3 = rise - h * (0.2440944881889764 * k1 + 0.7338466882816118 * k9
+                       + 0.022058823529411766 * k12)
+    return rise, err5, err3, (k1, k6, k7, k8, k9, k10, k11, k12, f(rise))
+
+
+def _dop853_dense_stages(f, h, slopes):
+    """The three stages k14..k16 that DOP853's continuous extension adds to a step."""
+    k1, k6, k7, k8, k9, k10, k11, k12, k13 = slopes
+    k14 = f(h * (0.056167502283047954 * k1 + 0.25350021021662483 * k7 - 0.2462390374708025 * k8
+                 - 0.12419142326381637 * k9 + 0.15329179827876568 * k10
+                 + 0.00820105229563469 * k11 + 0.007567897660545699 * k12 - 0.008298 * k13))
+    k15 = f(h * (0.03183464816350214 * k1 + 0.028300909672366776 * k6
+                 + 0.053541988307438566 * k7 - 0.05492374857139099 * k8
+                 - 0.00010834732869724932 * k11 + 0.0003825710908356584 * k12
+                 - 0.00034046500868740456 * k13 + 0.1413124436746325 * k14))
+    k16 = f(h * (-0.42889630158379194 * k1 - 4.697621415361164 * k6 + 7.683421196062599 * k7
+                 + 4.06898981839711 * k8 + 0.3567271874552811 * k9
+                 - 0.0013990241651590145 * k13 + 2.9475147891527724 * k14
+                 - 9.15095847217987 * k15))
+    return k14, k15, k16
 
 
 def _quarter_swing(pend: PendulumConfig, beta: float, phi: float, rel_tol: float):
-    """One Dormand-Prince 5(4) solve of the swing from rest to its first zero crossing t_1.
+    """One DOP853 solve of the swing from rest to its first zero crossing t_1.
 
     Evolves dtheta/dt = p cos(theta) p'(ptilde) / (m L) and dptilde/dt =
     sin(theta) (p^2 / (m L) - m g / cos(theta)) from rest at theta = phi, as
-    one complex state theta + i ptilde (Dormand & Prince, J. Comput. Appl. Math.
-    6 (1980) 19).  Steps are controlled as scipy's RK45 does (RMS error norm,
-    safety 0.9, growth in [0.2, 10]) within a span a fifth past t_1 <= (pi/2)
-    sqrt(L/g) / cos(phi/2): K(k) <= (pi/2) / sqrt(1 - k^2), and the deformation
-    only shortens the swing.  Newton on the length of the step that crosses
-    theta = 0 gives t_1.  Returns t_1 and the accepted steps, for _swing_states.
+    one complex state theta + i ptilde, with the 12-stage 8th-order pair DOP853
+    (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed. (1993), II.10).  Beside
+    the state it carries the low part its floats round off, as compensated
+    summation does, and the right-hand side adds it to first order: near
+    theta = pi/2 and near p's pole the last bits of theta and ptilde set
+    cos(theta) and p, and without it the period's rounding error reached
+    1e-12.  Steps are controlled as scipy's DOP853 does (RMS norm of the
+    5th-order error estimate, damped where the 3rd-order one is larger; safety
+    0.9, growth in [0.2, 10], exponent 1/8) within a span a fifth past t_1 <=
+    (pi/2) sqrt(L/g) / cos(phi/2): K(k) <= (pi/2) / sqrt(1 - k^2), and the
+    deformation only shortens the swing.  Newton on the length of the step
+    that crosses theta = 0 gives t_1, started from the step end nearer the
+    crossing and bisecting where it would leave the step.  Returns t_1, the
+    accepted steps and the right-hand side, for _swing_states.
     """
     mass, length = pend.mass, pend.length
-    weight = mass * pend.gravity
+    weight, mass_length = mass * pend.gravity, mass * length
     root = math.sqrt(beta)
 
-    def rhs(state):
+    def rhs(y, low, d):
+        state = y + d
         theta, ptilde = state.real, state.imag
         cos = math.cos(theta)
         # NaN makes the step controller reject a stage past |theta| = pi/2 or p's pole
         if cos <= 0.0 or root * abs(ptilde) >= 0.5 * math.pi:
             return complex(math.nan, math.nan)
+        sin = math.sin(theta)
         p, slope = _physical_momentum(ptilde, root)
-        velocity = p * cos * slope / (mass * length)
-        force = math.sin(theta) * (p * p / (mass * length) - weight / cos)
+        # cos(theta) near pi/2 and p near its pole need what the floats drop: the low
+        # part carried beside y and the rounding of y + d, added here to first order
+        shift = (y - state) + d + low
+        cos, sin = cos - sin * shift.real, sin + cos * shift.real
+        p, slope = p + slope * shift.imag, slope * (1.0 + 2.0 * beta * p * shift.imag)
+        velocity = p * cos * slope / mass_length
+        force = sin * (p * p / mass_length - weight / cos)
         return complex(velocity, force)
 
     # momentum at the bottom of the swing, m sqrt(2 g L (1 - cos(phi)))
     p_max = 2.0 * mass * math.sin(0.5 * phi) * math.sqrt(pend.gravity * length)
     atol_theta, atol_p = rel_tol * 1e-2 * phi, rel_tol * 1e-2 * momentum_remap(p_max, beta)
     span = 0.6 * math.pi * math.sqrt(length / pend.gravity) / math.cos(0.5 * phi)
-    t, y, h, rejected, steps = 0.0, complex(phi, 0.0), 1e-3 * span, False, []
-    k = rhs(y)
+    t, y, low, h, rejected, steps = 0.0, complex(phi, 0.0), 0j, 1e-3 * span, False, []
+    k = rhs(y, low, 0j)
     while y.real > 0.0:
         if t >= span:
             raise TrajectoryError("the swing did not reach a zero crossing")
         h = min(h, span - t)
         if h < 10.0 * math.ulp(t):
             raise TrajectoryError(f"swing integration failed: step {h:.3g} s at t = {t:.6g} s")
-        end, error, slopes = _dp54_step(rhs, y, k, h)
+        rise, err5, err3, slopes = _dop853_step(partial(rhs, y, low), k, h)
+        end = y + (rise + low)
         # ptilde barely moves near p's pole: weigh its error as p's
         w = math.cos(root * y.imag)
-        norm = 0.5 ** 0.5 * math.hypot(  # RMS over the two
-            error.real / (atol_theta + rel_tol * max(abs(y.real), abs(end.real))),
-            error.imag / (atol_p + w * rel_tol * max(abs(y.imag), abs(end.imag))))
+        scale_theta = atol_theta + rel_tol * max(abs(y.real), abs(end.real))
+        scale_p = atol_p + w * rel_tol * max(abs(y.imag), abs(end.imag))
+        sq5 = (err5.real / scale_theta) ** 2 + (err5.imag / scale_p) ** 2
+        sq3 = (err3.real / scale_theta) ** 2 + (err3.imag / scale_p) ** 2
+        norm = sq5 / math.sqrt(2.0 * (sq5 + 0.01 * sq3)) if sq5 else 0.0  # RMS over the two
         if not norm < 1.0:  # NaN too
-            h, rejected = h * max(0.2, 0.9 * norm ** -0.2), True
+            h, rejected = h * max(0.2, 0.9 * norm ** -0.125), True
             continue
-        steps.append((t, h, y, slopes))
-        grow = min(0.9 * norm ** -0.2 if norm else 10.0, 1.0 if rejected else 10.0)
+        steps.append((t, h, y, low, rise, slopes))
+        grow = min(0.9 * norm ** -0.125 if norm else 10.0, 1.0 if rejected else 10.0)
+        low = (y - end) + (rise + low)  # what end rounds off
         t, y, k, h, rejected = t + h, end, slopes[-1], h * grow, False
-    t, h, y, slopes = steps[-1]
-    for _ in range(8):  # Newton on theta(t + h) = 0, dtheta/dt being the last stage slope
-        h -= (dh := end.real / slopes[-1].real)
+    t, h, y, low, rise, slopes = steps[-1]
+    # theta > 0 at t + lo, <= 0 at t + hi
+    f, lo, hi, k1 = partial(rhs, y, low), 0.0, h, slopes[0]
+    theta, rate = y.real + rise.real, slopes[-1].real
+    if y.real < -theta:  # start from the end nearer the crossing
+        h, theta, rate = 0.0, y.real, k1.real
+    for _ in range(8):  # Newton on theta(t + h) = 0, bisecting where it leaves (lo, hi)
+        dh = theta / rate
+        if not lo <= h - dh <= hi:
+            dh = h - 0.5 * (lo + hi)
+        h -= dh
         if abs(dh) <= 1e-3 * rel_tol * (t + h):
             break
-        end, _, slopes = _dp54_step(rhs, y, slopes[0], h)
+        rise, _, _, slopes = _dop853_step(f, k1, h)
+        theta, rate = y.real + rise.real, slopes[-1].real
+        lo, hi = (h, hi) if theta > 0.0 else (lo, h)
     if not 0.0 < h <= steps[-1][1]:
         raise TrajectoryError("swing integration failed: no zero crossing in its last step")
-    return t + h, steps
+    return t + h, steps, rhs
 
 
-def _swing_states(steps, times: np.ndarray) -> np.ndarray:
-    """theta + i ptilde at times in [0, t_1] from the steps of _quarter_swing."""
-    starts, sizes, states, slopes = (np.array(column) for column in zip(*steps))
+def _swing_states(rhs, steps, times: np.ndarray) -> np.ndarray:
+    """theta + i ptilde at times in [0, t_1] from the steps and rhs of _quarter_swing.
+
+    DOP853's 7th-order continuous extension (Hairer, Norsett & Wanner, II.6),
+    in one numpy pass over the steps.  Its three extra stages per step are
+    evaluated here, so trajectory_period, which needs none, never pays for them.
+    """
+    extra = [_dop853_dense_stages(partial(rhs, y, low), h, slopes)
+             for _, h, y, low, _, slopes in steps]
+    starts, sizes, states, _, rises, slopes = (np.array(column) for column in zip(*steps))
+    k1, k13 = slopes[:, 0], slopes[:, -1]
+    coeffs = np.column_stack((
+        rises, sizes * k1 - rises, 2.0 * rises - sizes * (k1 + k13),
+        sizes[:, None] * (np.column_stack((slopes, extra)) @ _DOP853_DENSE)))
     i = np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
-    u = (times - starts[i]) / sizes[i]
-    dense = (slopes @ _DP54_DENSE)[i] * u[:, None] ** np.arange(1, 5)
-    return states[i] + sizes[i] * dense.sum(axis=1)
+    u = ((times - starts[i]) / sizes[i])[:, None]
+    j = np.arange(7)
+    basis = u ** ((j + 2) // 2) * (1.0 - u) ** ((j + 1) // 2)
+    return states[i] + (coeffs[i] * basis).sum(axis=1)
 
 
 def _time_grid(times: Sequence[float], t_end: "float | None" = None) -> np.ndarray:
@@ -439,7 +528,7 @@ def integrate_trajectory(
     rows, displacement being the bob's horizontal coordinate L sin(angle).
     One quarter swing is solved, to its first zero crossing t_1, and the
     motion, even in time and in theta with period 4 t_1, is unfolded from the
-    continuous extension of its steps: t maps to s = |((t + 2 t_1) mod 4 t_1)
+    7th-order continuous extension of its DOP853 steps: t maps to s = |((t + 2 t_1) mod 4 t_1)
     - 2 t_1| in [0, 2 t_1], and theta(t) = theta(s) for s <= t_1,
     -theta(2 t_1 - s) beyond.  Unless explicit times are given, rows lie on
     a uniform grid of 256 per period (at least 64); they are monotone in
@@ -450,7 +539,7 @@ def integrate_trajectory(
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     grid = None if times is None else _time_grid(times, t_end)
-    t_1, steps = _quarter_swing(pend, beta, phi, rel_tol)
+    t_1, steps, rhs = _quarter_swing(pend, beta, phi, rel_tol)
     if t_end > 4.0 * _MAX_PERIODS * t_1:
         raise ValueError(
             f"t_end = {t_end:g} s spans {t_end / (4.0 * t_1):.3g} periods of {4.0 * t_1:.6g} s; "
@@ -460,7 +549,7 @@ def integrate_trajectory(
         grid = np.linspace(0.0, t_end, max(64, round(64 * t_end / t_1)))
     s = np.abs(np.mod(grid + 2.0 * t_1, 4.0 * t_1) - 2.0 * t_1)
     beyond = s > t_1  # past the crossing, theta = -theta(2 t_1 - s)
-    theta = _swing_states(steps, np.where(beyond, 2.0 * t_1 - s, s)).real
+    theta = _swing_states(rhs, steps, np.where(beyond, 2.0 * t_1 - s, s)).real
     angles = np.where(beyond, -theta, theta)
     samples = np.column_stack((grid, angles, pend.length * np.sin(angles)))
     samples.flags.writeable = False
@@ -476,8 +565,8 @@ def trajectory_period(
     """Period 4 t_1 of a swing integrated to its first zero crossing t_1.
 
     H is even in theta and in ptilde and the bob starts from rest, so the
-    motion is symmetric in time and in theta.  t_1 ends one Dormand-Prince
-    5(4) solve (J. Comput. Appl. Math. 6 (1980) 19); see _quarter_swing.
+    motion is symmetric in time and in theta.  t_1 ends one DOP853 solve
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.10); see _quarter_swing.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
     return 4.0 * _quarter_swing(pend, beta, phi, rel_tol)[0]

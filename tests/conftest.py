@@ -102,9 +102,10 @@ def pendulum_zero_crossings(
         dp/dt = (1 + beta p^2) (p^2 sin(theta) / (m L) - m g tan(theta)),
 
     with scipy's DOP853 at rtol 1e-12, over whole periods and with no
-    symmetry used.  Independent of the package under test, which evolves
-    (theta, arctan(sqrt(beta) p) / sqrt(beta)) over a quarter swing with
-    its own Dormand-Prince pair.
+    symmetry used.  The package under test runs the same pair, but as its
+    own implementation, in other coordinates, (theta, arctan(sqrt(beta) p)
+    / sqrt(beta)), and over a quarter swing; composite_pendulum_period is
+    the oracle that shares no method with it.
     """
     from scipy.integrate import solve_ivp
 
