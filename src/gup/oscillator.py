@@ -11,7 +11,7 @@ Hamiltonian and the generalized coherent states |J, gamma> adapted to
 the nonlinear spectrum, together with the first-order closed form for
 <x(t)> in |J, 0>, which must reach dynamics.integrate_oscillator_trajectory,
 the exact classical trajectory, as hbar -> 0.  The invariant checks read
-the operators' bands directly and form no matrix.
+the operators' bands directly and form no operator matrix.
 
 x and p are first order in beta, so products of them, and hence the
 residuals of exact identities, carry beta^2 terms.
@@ -118,13 +118,17 @@ def _ladder_bands(nu, dimension: int) -> tuple:
     return e, s1, half * cubic1, -half * cubic3, half * (cubic1 + 2.0 * s1), half * cubic3
 
 
-def _operator_bands(model: OscillatorModel, dimension: int) -> tuple:
-    """e_n, the entries of a, x and p / i at (n-1, n), then of x and p / i at (n-3, n)."""
-    if dimension > _MAX_DIMENSION:
+def _check_dimension(dimension) -> None:
+    if dimension is not None and dimension > _MAX_DIMENSION:
         raise TruncationError(
             f"{dimension} Fock levels requested; the banded operators are checked "
             f"against dense products only up to {_MAX_DIMENSION} levels"
         )
+
+
+def _operator_bands(model: OscillatorModel, dimension: int) -> tuple:
+    """e_n, the entries of a, x and p / i at (n-1, n), then of x and p / i at (n-3, n)."""
+    _check_dimension(dimension)
     c1 = math.sqrt(model.hbar / (2.0 * model.mass * model.omega))
     c3 = math.sqrt(model.hbar * model.mass * model.omega / 2.0)
     e, s1, bx1, bx3, bq1, bq3 = _ladder_bands(model.ladder_deformation, dimension)
@@ -345,15 +349,17 @@ class InvariantCheck:
     detail: str
 
 
-def _band_products(*pairs: tuple) -> dict:
-    """Sum of products of band matrices {k: v}, v[:, i] the entry (i, i + k), |k| <= 3."""
+def _band_products(*pairs: tuple, lowest: int = -6) -> dict:
+    """Sum of products of band matrices {k: v}, v[:, i] the entry (i, i + k), |k| <= 3,
+    on the bands from lowest up; a product landing below lowest is skipped."""
     out = {}
     for left, right in pairs:
         for l, v in right.items():
             pad = np.zeros((len(v), 3))
             padded = np.concatenate((pad, v, pad), axis=1)
             for k, u in left.items():
-                out[k + l] = out.get(k + l, 0.0) + u * padded[:, 3 + k : 3 + k + v.shape[1]]
+                if k + l >= lowest:
+                    out[k + l] = out.get(k + l, 0.0) + u * padded[:, 3 + k : 3 + k + v.shape[1]]
     return out
 
 
@@ -369,52 +375,56 @@ def _commutator_residuals(model: OscillatorModel, dimension: int) -> tuple:
 
     as [S, T] = S T + (S T)^T for symmetric S and antisymmetric T.  The
     O(1) part cancels on paper, not in float64.  r is symmetric and lives
-    on bands 0, +-2, +-4, +-6; the rounding bound is _RESIDUAL_ROUNDINGS
-    roundoffs times the same sum over the magnitudes of its O(nu) terms.
+    on bands 0, +-2, +-4, +-6, so only the upper bands of Q^2 are formed;
+    the rounding bound is _RESIDUAL_ROUNDINGS roundoffs times the same sum
+    over the magnitudes of its O(nu) terms.  Both come from one pass over
+    six rows: the three residuals, then the three magnitudes.
     """
-    nu = model.ladder_deformation * np.array([[1.0], [0.1], [0.01]])
+    nu = model.ladder_deformation * np.array([[1.0], [0.1], [0.01]] * 2)
+    # bx1, bq1 and bq3 are positive and bx3 negative: flipping the sign of
+    # bx3, of s1 in Q and of the lower bands of B_q and Q gives the magnitudes
+    sign = np.array([[1.0]] * 3 + [[-1.0]] * 3)
     _, s1, bx1, bx3, bq1, bq3 = _ladder_bands(nu, dimension)
     interior = dimension - _LEVEL_BUFFER - 1
 
-    def banded(b1, b3, sign):  # M = sign M^T from its entries at (n-1, n), (n-3, n)
+    def banded(bands, lower):  # entries {k: at (n-k, n)}, M[n, n-k] = lower M[n-k, n]
         out = {}
-        for k, b in ((1, b1), (3, b3)):
-            pad = np.zeros((3, k))
-            out[k], out[-k] = np.concatenate((b, pad), 1), sign * np.concatenate((pad, b), 1)
+        for k, b in bands.items():
+            pad = np.zeros((len(b), k))
+            out[k], out[-k] = np.concatenate((b, pad), 1), lower * np.concatenate((pad, b), 1)
         return out
 
-    def largest(a, b_x, b_q, q):
-        p, qq = _band_products((a, b_q), (b_x, q)), _band_products((q, q))
-        worst = 0.0
-        for k in (0, 2, 4, 6):
-            rows = max(0, interior - k)
-            r = 0.5 * (p[k][:, :rows] + p[-k][:, k : k + rows]) + nu * qq[k][:, :rows]
-            if k == 0:
-                r += 2.0 * nu * np.arange(1.0, rows + 1.0)
-            worst = np.maximum(worst, np.abs(r).max(axis=1, initial=0.0))
-        return model.hbar * worst
-
-    a = banded(s1, np.zeros_like(bq3), 1.0)
-    residuals = largest(a, banded(bx1, bx3, 1.0), banded(bq1, bq3, -1.0),
-                        banded(bq1 - s1, bq3, -1.0))
-    # bx1, bq1 and bq3 are positive and bx3 negative: the terms' magnitudes
-    scale = largest(a, banded(bx1, -bx3, 1.0), banded(bq1, bq3, 1.0),
-                    banded(s1 + bq1, bq3, 1.0))
+    a, b_x = banded({1: s1}, 1.0), banded({1: bx1, 3: sign * bx3}, 1.0)
+    b_q, q = banded({1: bq1, 3: bq3}, -sign), banded({1: bq1 - sign * s1, 3: bq3}, -sign)
+    p, qq = _band_products((a, b_q), (b_x, q)), _band_products((q, q), lowest=0)
+    worst = 0.0
+    for k in (0, 2, 4, 6):
+        rows = max(0, interior - k)
+        r = 0.5 * (p[k][:, :rows] + p[-k][:, k : k + rows]) + nu * qq[k][:, :rows]
+        if k == 0:
+            r += 2.0 * nu * np.arange(1.0, rows + 1.0)
+        worst = np.maximum(worst, np.abs(r).max(axis=1, initial=0.0))
+    residuals, scale = np.split(model.hbar * worst, 2)
     roundoff = _RESIDUAL_ROUNDINGS * 2.0**-53
     return residuals, roundoff / (1.0 - roundoff) * scale
 
 
-def _band_expectations(model: OscillatorModel, amplitudes: np.ndarray, times) -> tuple:
-    """<h> of the state with these amplitudes, and <x> after each of the times.
+def _band_expectations(model: OscillatorModel, v: np.ndarray, step: float, count: int) -> tuple:
+    """<h> of the state with amplitudes v, and <x> at the times j step, j < count.
 
-    x is real symmetric on bands +-1 and +-3, so <x> is the sum over k = 1, 3
-    of 2 Re sum_n conj(v_n) x_(n,n+k) v_(n+k), with v evolved to every time at once.
+    x is real symmetric on bands +-1 and +-3, so <x>(t) = 2 Re sum_k Phi_k(t) . c_k
+    over k = 1, 3, with c_k[n] = conj(v_n) x_(n,n+k) v_(n+k) and the level-gap
+    phases Phi_k(t)[n] = exp(-i omega t (e_(n+k) - e_n)).  The phases of one
+    step are carried forward by a running product along the time axis, so one
+    complex matrix-vector product gives <x> at every time.
     """
-    e, _, x1, x3, _, _ = _operator_bands(model, amplitudes.size)
-    h = np.vdot(amplitudes, model.hbar * model.omega * e * amplitudes).real
-    v = amplitudes * np.exp(-1j * (model.omega * times)[:, None] * e)
-    x = sum(((v[:, :-k].conj() * v[:, k:]).real * b).sum(axis=1) for k, b in ((1, x1), (3, x3)))
-    return float(h), 2.0 * x
+    e, _, x1, x3, _, _ = _operator_bands(model, v.size)
+    h = np.vdot(v, model.hbar * model.omega * e * v).real
+    c = np.concatenate([v[:-k].conj() * b * v[k:] for k, b in ((1, x1), (3, x3))])
+    gaps = np.concatenate([e[k:] - e[:-k] for k in (1, 3)])
+    phases = np.ones((count, gaps.size), dtype=complex)
+    phases[1:] = np.exp(-1j * model.omega * step * gaps)
+    return float(h), 2.0 * (np.cumprod(phases, axis=0) @ c).real
 
 
 def invariant_checks(
@@ -426,11 +436,14 @@ def invariant_checks(
     for the beta/2 state.  beta = 0, a bad J, J = 0, a beta that overflows
     the operator bands, one below the float64 resolution of the
     commutator-scaling check and a z = beta m^2 omega^2 A^2 that overflows
-    raise ValueError before any record; a dimension too small for either
-    state or more than 1024 levels raise TruncationError there, and a sixth
-    record that would fail dynamics.TrajectoryError.  Nothing raises after
-    the first record.  No matrix is formed and no ODE is solved: the
-    hbar->0 check compares with the exact classical trajectory,
+    raise ValueError before any record.  A dimension of more than 1024 levels
+    raises TruncationError before any state is built and one too small for
+    either state raises it before any record, as a sixth record that would
+    fail raises dynamics.TrajectoryError.  Nothing raises after the first
+    record.  No
+    operator matrix is formed and no ODE is solved: <x(t)> is read from the
+    bands with level-gap phases stepped in time, and the hbar->0 check
+    compares with the exact classical trajectory,
     dynamics.integrate_oscillator_trajectory.
     """
     if model.beta == 0.0:
@@ -444,6 +457,8 @@ def invariant_checks(
     classical = replace(model, hbar=model.hbar * 1e-6)
     nu = model.ladder_deformation
     times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
+    _check_j(J)
+    _check_dimension(dimension)  # before a state of that size is allocated
     # overflowed levels are refused below, by name, instead of warned about
     with np.errstate(over="ignore", invalid="ignore"):
         # the beta/2 state needs at least as many levels as the beta state
@@ -451,8 +466,8 @@ def invariant_checks(
         dim = v_half.size
         table = _gk_weights(model, J)  # temporal stability rebuilds the state from it too
         state = _gk_state(model, J, 0.0, dim, table)
-        h_exp, x_full = _band_expectations(model, state.amplitudes, times)
-        x_half = _band_expectations(half, v_half, times)[1]
+        h_exp, x_full = _band_expectations(model, state.amplitudes, times[1], len(times))
+        x_half = _band_expectations(half, v_half, times[1], len(times))[1]
         residuals, roundoff = _commutator_residuals(model, dim)
     if not all(np.isfinite(v).all() for v in (h_exp, x_full, x_half, residuals, roundoff)):
         raise ValueError(
@@ -502,8 +517,9 @@ def invariant_checks(
         "<h> = hbar omega J", h_err < 1e-10, h_err, f"rel_err={h_err:.3e} tol=1e-10"
     )
 
-    betas = [model.beta * s for s in (1.0, 0.1, 0.01)]
-    slope = float(np.polyfit(np.log10(betas), np.log10(residuals), 1)[0])
+    # the least-squares slope through three points a decade apart
+    logs = np.log10(residuals)
+    slope = float(logs[0] - logs[2]) / 2.0
     yield InvariantCheck(
         "commutator residual",
         abs(slope - 2.0) < 0.1,

@@ -970,6 +970,12 @@ class TestQuantumCheck:
         assert "10586 Fock levels" in err
         assert "1024 levels" in err
 
+    def test_requested_dimension_past_the_cap_refused(self, capsys):
+        # refused before any state is built: 10**12 levels would not fit in memory
+        assert run(capsys, "quantum-check", "--dimension", "1000000000000") == (
+            2, "", "gup: numerical failure: 1000000000000 Fock levels requested; the "
+            "banded operators are checked against dense products only up to 1024 levels\n")
+
 
 class TestScenarios:
     def test_list(self, capsys):

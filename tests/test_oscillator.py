@@ -447,6 +447,18 @@ class TestExactClassicalTrajectory:
 
 
 class TestBandExpectations:
+    @staticmethod
+    def assert_match_dense_products(model, v):
+        _, x, _, h = dense_truncated_operators(model, v.size)
+        times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
+        n = np.arange(v.size, dtype=float)
+        nu = 0.5 * model.beta * model.mass * model.hbar * model.omega
+        evolved = v * np.exp(-1j * np.outer(model.omega * times, n * (1.0 + nu + nu * n)))
+        x_dense = np.array([np.vdot(u, x @ u).real for u in evolved])
+        h_banded, x_banded = oscillator._band_expectations(model, v, times[1], len(times))
+        assert np.max(np.abs(x_banded - x_dense)) <= 1e-12 * np.max(np.abs(x))
+        assert abs(h_banded - np.vdot(v, h @ v).real) <= 1e-12 * np.max(np.abs(h))
+
     # a random state weights the top levels, where the bands are largest
     @pytest.mark.parametrize("mass,omega,hbar,beta,dimension", [
         *((1.0, 1.0, 1.0, beta, d) for beta in (0.0, 1e-6, 2e-4, 5e-3)
@@ -455,17 +467,18 @@ class TestBandExpectations:
     ])
     def test_match_dense_products(self, mass, omega, hbar, beta, dimension, rng):
         model = OscillatorModel(mass=mass, omega=omega, hbar=hbar, beta=beta)
-        _, x, _, h = dense_truncated_operators(model, dimension)
         v = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
-        v /= np.linalg.norm(v)
-        times = np.linspace(0.0, 2.0 * math.pi / model.omega, 33)
-        n = np.arange(dimension, dtype=float)
-        nu = 0.5 * model.beta * model.mass * model.hbar * model.omega
-        evolved = v * np.exp(-1j * np.outer(model.omega * times, n * (1.0 + nu + nu * n)))
-        x_dense = np.array([np.vdot(u, x @ u).real for u in evolved])
-        h_banded, x_banded = oscillator._band_expectations(model, v, times)
-        assert np.max(np.abs(x_banded - x_dense)) <= 1e-12 * np.max(np.abs(x))
-        assert abs(h_banded - np.vdot(v, h @ v).real) <= 1e-12 * np.max(np.abs(h))
+        self.assert_match_dense_products(model, v / np.linalg.norm(v))
+
+    # the beta and beta/2 states invariant_checks evolves at the deck's largest J and z
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_gk_states_match_dense_products(self, scale):
+        J, z = 300.0, 1.4e-4
+        model = model_units(beta=scale * z / (2.0 * J))
+        dimension = choose_dimension(model_units(beta=0.5 * z / (2.0 * J)), J)
+        assert dimension == 435
+        state = gazeau_klauder_state(model, J, 0.0, dimension)
+        self.assert_match_dense_products(model, state.amplitudes)
 
 
 def _ode_tolerance(model, J):
@@ -535,6 +548,17 @@ class TestInvariantChecks:
         checks = invariant_checks(model_units(beta=5e-6), 1e4)
         with pytest.raises(TruncationError, match="10586 Fock levels"):
             next(checks)
+
+    # at 10**12 levels a state's amplitudes alone would need 16 TB
+    @pytest.mark.parametrize("dimension", [1025, 10**12])
+    def test_requested_dimension_past_the_cap_refused_before_any_record(self, dimension):
+        checks = invariant_checks(model_units(beta=5e-6), 4.0, dimension=dimension)
+        with pytest.raises(TruncationError) as info:
+            next(checks)
+        assert str(info.value) == (
+            f"{dimension} Fock levels requested; the banded operators are checked "
+            "against dense products only up to 1024 levels"
+        )
 
     def test_undersized_dimension_raises(self):
         checks = invariant_checks(model_units(beta=5e-6), 30.0, dimension=12)
