@@ -424,7 +424,7 @@ def _band_expectations(model: OscillatorModel, v: np.ndarray, step: float, count
     c = np.concatenate([v[:-k].conj() * b * v[k:] for k, b in ((1, x1), (3, x3))])
     gaps = np.concatenate([e[k:] - e[:-k] for k in (1, 3)])
     # phases[j] = phases[1]^j: with f rows filled, rows f .. 2f-2 are rows
-    # 1 .. f-1 times row f-1, so five products fill 33 rows; np.cumprod
+    # 1 .. f-1 times row f-1, so five products fill the 33 check times; np.cumprod
     # takes several times longer on complex rows
     phases = np.empty((count, gaps.size), dtype=complex)
     phases[0], phases[1] = 1.0, np.exp(-1j * model.omega * step * gaps)
@@ -449,10 +449,9 @@ def invariant_checks(
     raises TruncationError before any state is built and one too small for
     either state raises it before any record, as a sixth record that would
     fail raises dynamics.TrajectoryError.  Nothing raises after the first
-    record.  No
-    operator matrix is formed and no ODE is solved: <x(t)> is read from the
-    bands with level-gap phases stepped in time, and the hbar->0 check
-    compares with the exact classical trajectory,
+    record.  No operator matrix is formed and no ODE is solved: <x(t)> is
+    read from the bands with level-gap phases stepped in time, and the
+    hbar->0 check compares with the exact classical trajectory,
     dynamics.integrate_oscillator_trajectory.
     """
     if model.beta == 0.0:
