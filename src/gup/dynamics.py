@@ -3,7 +3,7 @@
 The Poisson bracket {x, p} = 1 + beta p^2 modifies Hamiltonian flow for
 any system whose Hamiltonian is written in the physical momentum p.  The
 canonical variable ptilde = arctan(sqrt(beta) p) / sqrt(beta) restores
-{x, ptilde} = 1 and is what the integrators here evolve.
+{x, ptilde} = 1; the pendulum integrator evolves it scaled by sqrt(beta).
 
 Two systems are covered:
 
@@ -14,15 +14,16 @@ Two systems are covered:
   small-amplitude limit, used for classical-limit comparisons.
 
 The oscillator's motion has a closed form.  The pendulum is integrated in
-theta and ptilde, canonical to L sin(theta), with p = tan(sqrt(beta)
-ptilde) / sqrt(beta) in H (p = ptilde at beta = 0).  Hamilton's equations,
-dtheta/dt = dH/dptilde / (L cos(theta)) and dptilde/dt = -dH/dtheta /
-(L cos(theta)), are smooth through the turning points, where ptilde
-passes through zero.  The swing is even in time and in theta, so one
-solve from rest to the first zero crossing, a quarter period, fixes the
-whole motion: Dormand and Prince's 8(5,3) pair DOP853 with its 7th-order
-continuous extension (Hairer, Norsett & Wanner, Solving Ordinary
-Differential Equations I, 2nd ed. (1993), II.10 and II.6).
+units where m = g = L = 1 (time in sqrt(L/g), momenta in m sqrt(g L)), in
+theta and u = root ptilde, with ptilde canonical to L sin(theta), root =
+sqrt(beta m^2 g L) and p = tan(u) / root in H (u = ptilde = p at beta = 0).
+Hamilton's equations, dtheta/dt = dH/dptilde / (L cos(theta)) and
+dptilde/dt = -dH/dtheta / (L cos(theta)), are smooth through the turning
+points, where u passes through zero.  The swing is even in time and in
+theta, so one solve from rest to the first zero crossing, a quarter
+period, fixes the whole motion: Dormand and Prince's 8(5,3) pair DOP853
+with its 7th-order continuous extension (Hairer, Norsett & Wanner,
+Solving Ordinary Differential Equations I, 2nd ed. (1993), II.10 and II.6).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "PendulumConfig",
     "QuadratureError",
     "TrajectoryError",
-    "momentum_remap",
     "period_first_order",
     "period_exact_quadrature",
     "period_beta_linearized",
@@ -114,16 +114,6 @@ class DeformationParams:
         return beta
 
 
-def _as_beta(deformation: "float | DeformationParams") -> float:
-    """Accept a raw SI beta or a DeformationParams and return SI beta."""
-    if isinstance(deformation, DeformationParams):
-        return deformation.effective_beta
-    beta = float(deformation)
-    if not (beta >= 0.0 and math.isfinite(beta)):
-        raise ValueError("beta must be finite and non-negative")
-    return beta
-
-
 @dataclass(frozen=True)
 class PendulumConfig:
     """Point pendulum: bob mass in kg, length in m, local g in m/s^2."""
@@ -147,30 +137,14 @@ class PendulumConfig:
         return 2.0 * math.pi * math.sqrt(self.length / self.gravity)
 
 
-def momentum_remap(momentum, beta: float):
-    """Canonical momentum arctan(sqrt(beta) p) / sqrt(beta).
-
-    Bounded by pi / (2 sqrt(beta)) for beta > 0 and reduces to the
-    identity at beta = 0.  Accepts scalars or arrays.
-    """
-    beta = _as_beta(beta)
-    p = np.asarray(momentum, dtype=float)
-    if beta == 0.0:
-        out = p.copy()
-    else:
-        root = math.sqrt(beta)
-        out = np.arctan(root * p) / root
-    return out if out.ndim else float(out)
-
-
 # --- periods ---------------------------------------------------------------
 
 
 def _check_swing(
-    deformation: "float | DeformationParams", phi: float, rel_tol: float
+    deformation: DeformationParams, phi: float, rel_tol: float
 ) -> tuple[float, float, float]:
     """SI beta, angular amplitude and rel_tol of a swing, each checked."""
-    beta = _as_beta(deformation)
+    beta = deformation.effective_beta
     phi = float(phi)
     if not (0.0 < phi < 0.5 * math.pi):
         raise ValueError("angular amplitude must lie in (0, pi/2)")
@@ -182,7 +156,7 @@ def _check_swing(
 
 def period_first_order(
     pend: PendulumConfig,
-    deformation: "float | DeformationParams",
+    deformation: DeformationParams,
     amplitude: float,
 ) -> float:
     """Period to first order in amplitude^2 and in the deformation.
@@ -193,7 +167,7 @@ def period_first_order(
     shortens the period, opposing the usual anharmonic lengthening; past
     1 + A^2/(16 L^2) it makes T non-positive, which is not refused.
     """
-    beta = _as_beta(deformation)
+    beta = deformation.effective_beta
     amplitude = float(amplitude)
     if not (0.0 <= amplitude < pend.length):
         raise ValueError("amplitude must be non-negative and below the pendulum length")
@@ -233,13 +207,14 @@ def _swing_integral(
     weight(z) / sqrt(1 - k^2 cos^2 w), S = 2 m^2 g L beta and
     z = S (cos theta - cos phi) / cos^2 theta: weight 1/(1+z) exactly,
     1 - z to first order.  Large S confines 1/(1+z) to a layer of width
-    cos(phi) / (k sqrt(2S)) at w = 0.  Panels start there and grow
-    fourfold; each is halved until its 20- and 40-point Gauss-Legendre
+    cos(phi) / (k sqrt(2S)) at w = 0, capped at pi.  Panels start there and
+    grow fourfold; each is halved until its 20- and 40-point Gauss-Legendre
     sums agree to rel_tol of the total.
     """
     k, cos_phi = math.sin(0.5 * phi), math.cos(phi)
     strength = 2.0 * pend.mass**2 * pend.gravity * pend.length * beta
-    layer = cos_phi / (k * math.sqrt(2.0 * strength)) if strength else math.pi
+    width = k * math.sqrt(2.0 * strength)  # 0 where it underflows
+    layer = min(cos_phi / width, math.pi) if width else math.pi
     if not layer > 0.0:
         raise QuadratureError("the deformation strength 2 m^2 g L beta overflows")
     count = max(0, math.ceil(math.log(0.5 * math.pi / layer, 4.0)))
@@ -265,7 +240,7 @@ def _swing_integral(
 
 def period_exact_quadrature(
     pend: PendulumConfig,
-    deformation: "float | DeformationParams",
+    deformation: DeformationParams,
     angular_amplitude: float,
     rel_tol: float = 1e-10,
 ) -> float:
@@ -286,7 +261,7 @@ def period_exact_quadrature(
 
 def period_beta_linearized(
     pend: PendulumConfig,
-    deformation: "float | DeformationParams",
+    deformation: DeformationParams,
     angular_amplitude: float,
     rel_tol: float = 1e-10,
 ) -> float:
@@ -308,18 +283,18 @@ def period_beta_linearized(
 _MAX_PERIODS = 1_000
 
 
-def _physical_momentum(ptilde: float, root: float) -> tuple[float, float]:
-    """p(ptilde) = tan(root ptilde) / root and dp/dptilde, with root = sqrt(beta).
+def _physical_momentum(u: float, root: float) -> tuple[float, float]:
+    """p = tan(u) / root and dp/dptilde = 1 + tan(u)^2, u = root ptilde, root^2 = beta m^2 g L.
 
-    Both reduce to (ptilde, 1) in the undeformed case root = 0.
+    Both reduce to (u, 1) in the undeformed case root = 0, where u is ptilde.
     """
     if root == 0.0:
-        return ptilde, 1.0
-    tan = math.tan(root * ptilde)
+        return u, 1.0
+    tan = math.tan(u)
     return tan / root, 1.0 + tan * tan
 
 
-# DOP853's continuous extension, y(t + u h) = y + sum_j F_j u^((j+2)//2) (1-u)^((j+1)//2):
+# DOP853's continuous extension, y(t + r h) = y + sum_j F_j r^((j+2)//2) (1-r)^((j+1)//2):
 # F_0..F_2 from the step's rise and end slopes, h times these rows of k1, k6..k16 for F_3..F_6
 _DOP853_DENSE = np.array([
     [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
@@ -395,49 +370,55 @@ def _dop853_dense_stages(f, h, slopes):
 def _quarter_swing(pend: PendulumConfig, beta: float, phi: float, rel_tol: float):
     """One DOP853 solve of the swing from rest to its first zero crossing t_1.
 
-    Evolves dtheta/dt = p cos(theta) p'(ptilde) / (m L) and dptilde/dt =
-    sin(theta) (p^2 / (m L) - m g / cos(theta)) from rest at theta = phi, as
-    one complex state theta + i ptilde, with the 12-stage 8th-order pair DOP853
-    (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed. (1993), II.10).  Beside
-    the state it carries the low part its floats round off, as compensated
-    summation does, and the right-hand side adds it to first order: near
-    theta = pi/2 and near p's pole the last bits of theta and ptilde set
-    cos(theta) and p, and without it the period's rounding error reached
-    1e-12.  Steps are controlled as scipy's DOP853 does (RMS norm of the
-    5th-order error estimate, damped where the 3rd-order one is larger; safety
-    0.9, growth in [0.2, 10], exponent 1/8) within a span a fifth past t_1 <=
-    (pi/2) sqrt(L/g) / cos(phi/2): K(k) <= (pi/2) / sqrt(1 - k^2), and the
-    deformation only shortens the swing.  Newton on the length of the step
-    that crosses theta = 0 gives t_1, started from the step end nearer the
-    crossing and bisecting where it would leave the step.  Returns t_1, the
-    accepted steps and the right-hand side, for _swing_states.
+    In units where m = g = L = 1 (time in sqrt(L/g), momenta in m sqrt(g L)) and
+    with root = sqrt(beta m^2 g L), it evolves theta + i u, u = root ptilde, by
+    dtheta/dt = p cos(theta) dp/dptilde and du/dt = root sin(theta) (p^2 -
+    1/cos(theta)) from rest at theta = phi, with the 12-stage 8th-order pair
+    DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed. (1993), II.10).
+    Where root p_max < 2^-511, p_max = 2 sin(phi/2), the deformation moves p by
+    less than the smallest normal float, and the swing is solved with root = 0
+    (u = ptilde, root read as 1 in du/dt).  Beside the state it carries the low
+    part its floats round off, as compensated summation does, and the right-hand
+    side adds it to first order: near theta = pi/2 and near p's pole |u| = pi/2
+    the last bits of theta and u set cos(theta) and p, and without it the
+    period's rounding error reached 1e-12.  Steps are controlled as scipy's
+    DOP853 does (RMS norm of the 5th-order error estimate, damped where the
+    3rd-order one is larger; safety 0.9, growth in [0.2, 10], exponent 1/8)
+    within a span a fifth past t_1 <= (pi/2) / cos(phi/2): K(k) <= (pi/2) /
+    sqrt(1 - k^2), and the deformation only shortens the swing.  Newton on the
+    length of the step that crosses theta = 0 gives t_1, started from the step
+    end nearer the crossing and bisecting where it would leave the step.
+    Returns t_1, the accepted steps and the right-hand side, for _swing_states,
+    all in these units.
     """
-    mass, length = pend.mass, pend.length
-    weight, mass_length = mass * pend.gravity, mass * length
-    root = math.sqrt(beta)
+    tau = math.sqrt(pend.length / pend.gravity)
+    root = math.sqrt(beta * (pend.mass * pend.mass * pend.gravity * pend.length))
+    if root == math.inf:
+        raise TrajectoryError("the deformation strength m^2 g L beta overflows")
+    p_max = 2.0 * math.sin(0.5 * phi)
+    if root * p_max < 2.0 ** -511:
+        root = 0.0
+    scale, pole = (root, 0.5 * math.pi) if root else (1.0, math.inf)
 
     def rhs(y, low, d):
         state = y + d
-        theta, ptilde = state.real, state.imag
+        theta, u = state.real, state.imag
         cos = math.cos(theta)
         # NaN makes the step controller reject a stage past |theta| = pi/2 or p's pole
-        if cos <= 0.0 or root * abs(ptilde) >= 0.5 * math.pi:
+        if cos <= 0.0 or abs(u) >= pole:
             return complex(math.nan, math.nan)
         sin = math.sin(theta)
-        p, slope = _physical_momentum(ptilde, root)
+        p, slope = _physical_momentum(u, root)
         # cos(theta) near pi/2 and p near its pole need what the floats drop: the low
         # part carried beside y and the rounding of y + d, added here to first order
         shift = (y - state) + d + low
         cos, sin = cos - sin * shift.real, sin + cos * shift.real
-        p, slope = p + slope * shift.imag, slope * (1.0 + 2.0 * beta * p * shift.imag)
-        velocity = p * cos * slope / mass_length
-        force = sin * (p * p / mass_length - weight / cos)
-        return complex(velocity, force)
+        p, slope = p + slope * shift.imag / scale, slope * (1.0 + 2.0 * root * p * shift.imag)
+        return complex(p * cos * slope, scale * sin * (p * p - 1.0 / cos))
 
-    # momentum at the bottom of the swing, m sqrt(2 g L (1 - cos(phi)))
-    p_max = 2.0 * mass * math.sin(0.5 * phi) * math.sqrt(pend.gravity * length)
-    atol_theta, atol_p = rel_tol * 1e-2 * phi, rel_tol * 1e-2 * momentum_remap(p_max, beta)
-    span = 0.6 * math.pi * math.sqrt(length / pend.gravity) / math.cos(0.5 * phi)
+    atol_theta = rel_tol * 1e-2 * phi
+    atol_u = rel_tol * 1e-2 * (math.atan(root * p_max) if root else p_max)
+    span = 0.6 * math.pi / math.cos(0.5 * phi)
     t, y, low, h, rejected, steps = 0.0, complex(phi, 0.0), 0j, 1e-3 * span, False, []
     k = rhs(y, low, 0j)
     while y.real > 0.0:
@@ -445,15 +426,16 @@ def _quarter_swing(pend: PendulumConfig, beta: float, phi: float, rel_tol: float
             raise TrajectoryError("the swing did not reach a zero crossing")
         h = min(h, span - t)
         if h < 10.0 * math.ulp(t):
-            raise TrajectoryError(f"swing integration failed: step {h:.3g} s at t = {t:.6g} s")
+            raise TrajectoryError(
+                f"swing integration failed: step {h * tau:.3g} s at t = {t * tau:.6g} s")
         rise, err5, err3, slopes = _dop853_step(partial(rhs, y, low), k, h)
         end = y + (rise + low)
-        # ptilde barely moves near p's pole: weigh its error as p's
-        w = math.cos(root * y.imag)
+        # u barely moves near p's pole: weigh its error as p's
+        w = math.cos(y.imag) if root else 1.0
         scale_theta = atol_theta + rel_tol * max(abs(y.real), abs(end.real))
-        scale_p = atol_p + w * rel_tol * max(abs(y.imag), abs(end.imag))
-        sq5 = (err5.real / scale_theta) ** 2 + (err5.imag / scale_p) ** 2
-        sq3 = (err3.real / scale_theta) ** 2 + (err3.imag / scale_p) ** 2
+        scale_u = atol_u + w * rel_tol * max(abs(y.imag), abs(end.imag))
+        sq5 = (err5.real / scale_theta) ** 2 + (err5.imag / scale_u) ** 2
+        sq3 = (err3.real / scale_theta) ** 2 + (err3.imag / scale_u) ** 2
         norm = sq5 / math.sqrt(2.0 * (sq5 + 0.01 * sq3)) if sq5 else 0.0  # RMS over the two
         if not norm < 1.0:  # NaN too
             h, rejected = h * max(0.2, 0.9 * norm ** -0.125), True
@@ -484,7 +466,7 @@ def _quarter_swing(pend: PendulumConfig, beta: float, phi: float, rel_tol: float
 
 
 def _swing_states(rhs, steps, times: np.ndarray) -> np.ndarray:
-    """theta + i ptilde at times in [0, t_1] from the steps and rhs of _quarter_swing.
+    """theta + i u at times in [0, t_1] from the steps and rhs of _quarter_swing.
 
     DOP853's 7th-order continuous extension (Hairer, Norsett & Wanner, II.6),
     in one numpy pass over the steps.  Its three extra stages per step are
@@ -498,9 +480,9 @@ def _swing_states(rhs, steps, times: np.ndarray) -> np.ndarray:
         rises, sizes * k1 - rises, 2.0 * rises - sizes * (k1 + k13),
         sizes[:, None] * (np.column_stack((slopes, extra)) @ _DOP853_DENSE)))
     i = np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
-    u = ((times - starts[i]) / sizes[i])[:, None]
+    r = ((times - starts[i]) / sizes[i])[:, None]
     j = np.arange(7)
-    basis = u ** ((j + 2) // 2) * (1.0 - u) ** ((j + 1) // 2)
+    basis = r ** ((j + 2) // 2) * (1.0 - r) ** ((j + 1) // 2)
     return states[i] + (coeffs[i] * basis).sum(axis=1)
 
 
@@ -516,7 +498,7 @@ def _time_grid(times: Sequence[float], t_end: "float | None" = None) -> np.ndarr
 
 def integrate_trajectory(
     pend: PendulumConfig,
-    deformation: "float | DeformationParams",
+    deformation: DeformationParams,
     angular_amplitude: float,
     t_end: float,
     rel_tol: float = 1e-10,
@@ -539,15 +521,17 @@ def integrate_trajectory(
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     grid = None if times is None else _time_grid(times, t_end)
-    t_1, steps, rhs = _quarter_swing(pend, beta, phi, rel_tol)
-    if t_end > 4.0 * _MAX_PERIODS * t_1:
+    t_1, steps, rhs = _quarter_swing(pend, beta, phi, rel_tol)  # in units of tau
+    tau = math.sqrt(pend.length / pend.gravity)
+    period = 4.0 * tau * t_1
+    if t_end > _MAX_PERIODS * period:
         raise ValueError(
-            f"t_end = {t_end:g} s spans {t_end / (4.0 * t_1):.3g} periods of {4.0 * t_1:.6g} s; "
+            f"t_end = {t_end:g} s spans {t_end / period:.3g} periods of {period:.6g} s; "
             f"at most {_MAX_PERIODS} periods (256 rows each) are sampled"
         )
     if grid is None:
-        grid = np.linspace(0.0, t_end, max(64, round(64 * t_end / t_1)))
-    s = np.abs(np.mod(grid + 2.0 * t_1, 4.0 * t_1) - 2.0 * t_1)
+        grid = np.linspace(0.0, t_end, max(64, round(256 * t_end / period)))
+    s = np.abs(np.mod(grid / tau + 2.0 * t_1, 4.0 * t_1) - 2.0 * t_1)
     beyond = s > t_1  # past the crossing, theta = -theta(2 t_1 - s)
     theta = _swing_states(rhs, steps, np.where(beyond, 2.0 * t_1 - s, s)).real
     angles = np.where(beyond, -theta, theta)
@@ -558,7 +542,7 @@ def integrate_trajectory(
 
 def trajectory_period(
     pend: PendulumConfig,
-    deformation: "float | DeformationParams",
+    deformation: DeformationParams,
     angular_amplitude: float,
     rel_tol: float = 1e-10,
 ) -> float:
@@ -569,13 +553,14 @@ def trajectory_period(
     (Hairer, Norsett & Wanner, Solving ODEs I, II.10); see _quarter_swing.
     """
     beta, phi, rel_tol = _check_swing(deformation, angular_amplitude, rel_tol)
-    return 4.0 * _quarter_swing(pend, beta, phi, rel_tol)[0]
+    t_1 = _quarter_swing(pend, beta, phi, rel_tol)[0]
+    return 4.0 * math.sqrt(pend.length / pend.gravity) * t_1
 
 
 def integrate_oscillator_trajectory(
     mass: float,
     omega: float,
-    deformation: "float | DeformationParams",
+    beta: float,
     amplitude: float,
     times: Sequence[float],
 ) -> np.ndarray:
@@ -586,9 +571,11 @@ def integrate_oscillator_trajectory(
     energy, and the bracket gives dpsi/dt = omega (1 + z sin^2 psi), z = beta
     m^2 omega^2 A^2, so x(t) = A sqrt(1 + z) cos(W t) / sqrt(1 + z cos^2(W t))
     with W = omega sqrt(1 + z) (Kempf, Mangano & Mann, PRD 52 (1995) 1108).
-    Times may come in any order; a z that is not finite raises ValueError.
+    beta is in SI units (1/momentum^2).  Times may come in any order; a z
+    that is not finite raises ValueError.
     """
-    beta = _as_beta(deformation)
+    if not (beta >= 0.0 and math.isfinite(beta)):
+        raise ValueError("beta must be finite and non-negative")
     if not (mass > 0.0 and omega > 0.0):
         raise ValueError("mass and omega must be positive")
     amplitude = float(amplitude)

@@ -27,6 +27,7 @@ from gup.bounds import (
 )
 from gup.cli import bundled_dataset_path, load_dataset
 from gup.dynamics import (
+    DeformationParams,
     PendulumConfig,
     period_exact_quadrature,
     period_first_order,
@@ -205,16 +206,17 @@ def test_criterion_6_literature_boundary_points():
 
 def test_criterion_7_quadrature_correctness():
     pend = PendulumConfig(mass=1.22, length=2.9954, gravity=9.80393)
+    undeformed = DeformationParams(beta0=0.0)
     worst = 0.0
     for phi in (0.05, 0.2, 0.5, 1.0):
         oracle = agm_pendulum_period(pend, phi)
-        value = period_exact_quadrature(pend, 0.0, phi, rel_tol=1e-12)
+        value = period_exact_quadrature(pend, undeformed, phi, rel_tol=1e-12)
         worst = max(worst, abs(value - oracle) / oracle)
     phis = [0.2, 0.1, 0.05]
     residuals = [
         abs(
-            period_exact_quadrature(pend, 0.0, phi, rel_tol=1e-12)
-            - period_first_order(pend, 0.0, pend.length * math.sin(phi))
+            period_exact_quadrature(pend, undeformed, phi, rel_tol=1e-12)
+            - period_first_order(pend, undeformed, pend.length * math.sin(phi))
         )
         for phi in phis
     ]

@@ -750,6 +750,19 @@ class TestPeriod:
         assert (code, err) == (0, "")
         assert out.endswith("\nperiod_s=3.47398855013\n")
 
+    @pytest.mark.parametrize("pendulum,beta0", [
+        ((), "1e-200"), (("--mass", "1e-150"), "1"), ((), "1e-30"),
+    ])
+    def test_exact_at_tiny_amplitude_times_deformation(self, capsys, pendulum, beta0):
+        # the layer width k sqrt(2 S) underflowed: ZeroDivisionError, or a
+        # math domain error from the log of its reciprocal
+        base = ("period", "--amplitude", "1e-300", *pendulum)
+        code, out, err = run(capsys, *base, "--beta0", beta0)
+        assert (code, err) == (0, "")
+        plain = run(capsys, *base, "--beta0", "0")
+        assert plain[0] == 0
+        assert out.splitlines()[-1] == plain[1].splitlines()[-1] == "period_s=3.47301916784"
+
     def test_exact_rejects_zero_amplitude(self, capsys):
         code, _, err = run(capsys, "period", "--amplitude", "0")
         assert code == 1
@@ -1223,7 +1236,8 @@ class TestImports:
     def test_pendulum_trajectory_loads_no_scipy(self, tmp_path):
         code = (
             "import gup.dynamics as d\n"
-            "d.integrate_trajectory(d.PendulumConfig(1.22, 2.9954, 9.80393), 1e3, 0.3, 7.0)"
+            "d.integrate_trajectory(d.PendulumConfig(1.22, 2.9954, 9.80393),\n"
+            "                       d.DeformationParams(1e3), 0.3, 7.0)"
         )
         assert self._scipy_loaded_after(code, tmp_path) == "[]"
 

@@ -38,3 +38,16 @@ def test_row_counter_reads_the_dataset_series(worker):
     assert len(dataset.series) == 21
     _, _, counter = worker.TRACED["cli.load_dataset"]
     assert counter((), {}, dataset) == {"rows": 21}
+
+
+def test_warmup_operations_pass(worker, tmp_path, monkeypatch):
+    # the benchmark's own calls into gup, so a narrowed signature fails here
+    # and not only in a benchmark run
+    monkeypatch.chdir(tmp_path)
+    for name in sorted(worker.workloads.WORKLOADS):
+        workload = worker.make_workload(name, 0, str(PERFBENCH.parent), str(tmp_path))
+        for n, spec in enumerate(workload.warmup_specs()):
+            op = workload.prepare(spec, f"warm{n}")
+            _, reason, _ = worker.run_one(workload, op)
+            workload.cleanup(op)
+            assert reason is None, (name, spec, reason)
