@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "MeasurementSeries",
     "LinearFit",
-    "FitError",
     "DegenerateDataError",
     "FitConvergenceError",
     "wls_fit",
@@ -42,15 +41,11 @@ __all__ = [
 ]
 
 
-class FitError(RuntimeError):
-    """Base class for fitting failures."""
-
-
-class DegenerateDataError(FitError):
+class DegenerateDataError(RuntimeError):
     """Data cannot constrain a line: too few points or no x spread."""
 
 
-class FitConvergenceError(FitError):
+class FitConvergenceError(RuntimeError):
     """The profile minimization did not locate a minimum."""
 
 

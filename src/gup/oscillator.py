@@ -186,49 +186,40 @@ def build_truncated_operators(
     return TruncatedOperators(model=model, dimension=dimension, a=a, x=x, p=p, h=h)
 
 
-def _gk_log_terms(model: OscillatorModel, J: float, count: int, steps=None) -> np.ndarray:
-    """log(J^n / rho_n) for n < count, with rho_n = prod_{k<=n} e_k; steps holds
-    the log(J / e_n) already taken, from n = 1 on, and is extended in place."""
-    steps = [] if steps is None else steps
-    log_j = math.log(J) if J > 0.0 else -math.inf
-    # math.log per level: np.log can differ from it in the last bit
-    e = _level_eigenvalues(model.ladder_deformation, count)[len(steps) + 1:]
-    steps += [log_j - v for v in map(math.log, e.tolist())]
-    return np.concatenate(([0.0], np.cumsum(steps)))
-
-
 def _check_j(J: float) -> None:
     if not (J >= 0.0 and math.isfinite(J)):
         raise ValueError("J must be finite and non-negative")
 
 
 def _gk_weights(model: OscillatorModel, J: float) -> tuple:
-    """The GK weight table: converged log-terms less their peak, the sum of
-    their weights, and the smallest dimension that keeps the tail mass below
-    1e-12 of that sum out of the buffer levels (at least 8)."""
-    log_terms, count, steps = np.zeros(1), 64, []
-    while J != 0.0:
-        log_terms = _gk_log_terms(model, J, count, steps)
-        # converged once the last term is negligible and not increasing
-        # (-inf twice where the eigenvalues overflow)
-        if log_terms[-1] < np.max(log_terms) - 60.0 and log_terms[-1] <= log_terms[-2]:
-            break
-        if count > 200_000:
-            raise TruncationError(f"J = {J:g}: the generalized coherent state's series has "
-                                  f"not fallen off within {count} levels, the most it is summed "
-                                  f"over; the operators stop at {_MAX_DIMENSION} levels")
-        count *= 2
-    log_terms = log_terms - np.max(log_terms)
+    """The GK weight table on 2048 levels: the log-terms log(J^n / rho_n) less
+    their peak, the sum of their weights, and the smallest dimension that keeps
+    the tail mass below 1e-12 of that sum out of the buffer levels (at least 8).
+    A state needing more than 1024 levels raises TruncationError, as does a
+    series that has not fallen off within the table; every state that fits has
+    fallen off by level 1,143 (beta = 0, J near 810)."""
+    _check_j(J)
+    with np.errstate(over="ignore"):  # overflowed levels give -inf terms
+        e = _level_eigenvalues(model.ladder_deformation, 2 * _MAX_DIMENSION)[1:]
+    log_j = math.log(J) if J > 0.0 else -math.inf
+    log_terms = np.concatenate(([0.0], np.cumsum(log_j - np.log(e))))
+    log_terms -= np.max(log_terms)
     weights = np.exp(log_terms)
     total = np.sum(weights)
     # the tail mass from each level up never increases: count the levels above the tolerance
     support = np.count_nonzero(np.cumsum(weights[::-1])[::-1] >= _GK_TAIL_TOLERANCE * total)
-    return log_terms, total, max(int(support) + _LEVEL_BUFFER, 8)
+    dimension = max(int(support) + _LEVEL_BUFFER, 8)
+    # fallen off once the last term is negligible and not increasing
+    # (-inf twice where the eigenvalues overflow)
+    if dimension > _MAX_DIMENSION or not (log_terms[-1] < -60.0 and log_terms[-1] <= log_terms[-2]):
+        raise TruncationError(f"J = {J:g}: the generalized coherent state needs more than "
+                              f"{_MAX_DIMENSION} Fock levels, the most the operators are checked for")
+    return log_terms, total, dimension
 
 
 def choose_dimension(model: OscillatorModel, J: float) -> int:
-    """Smallest truncation with tail mass below 1e-12 plus buffer levels."""
-    _check_j(J)
+    """Smallest truncation with tail mass below 1e-12 plus buffer levels;
+    TruncationError where that is more than 1024 levels."""
     return _gk_weights(model, J)[2]
 
 
@@ -265,11 +256,11 @@ def gazeau_klauder_state(
 
     J = 0 gives the ground state; at beta = 0 the amplitudes reduce to
     the Poisson weights of an ordinary coherent state with
-    xi = sqrt(J) exp(-i gamma).  Raises TruncationError when the
-    requested dimension leaves more than 1e-12 of the weight within
-    the buffer levels or beyond.
+    xi = sqrt(J) exp(-i gamma).  Raises TruncationError, before any
+    amplitude is allocated, when the state needs more than 1024 levels,
+    and when the requested dimension leaves more than 1e-12 of the weight
+    within the buffer levels or beyond.
     """
-    _check_j(J)
     if dimension is not None and dimension < 8:
         raise ValueError("dimension must be at least 8")
     return _gk_state(model, J, gamma, dimension, _gk_weights(model, J))
@@ -445,13 +436,14 @@ def invariant_checks(
     for the beta/2 state.  beta = 0, a bad J, J = 0, a beta that overflows
     the operator bands, one below the float64 resolution of the
     commutator-scaling check and a z = beta m^2 omega^2 A^2 that overflows
-    raise ValueError before any record.  A dimension of more than 1024 levels
-    raises TruncationError before any state is built and one too small for
-    either state raises it before any record, as a sixth record that would
-    fail raises dynamics.TrajectoryError.  Nothing raises after the first
-    record.  No operator matrix is formed and no ODE is solved: <x(t)> is
-    read from the bands with level-gap phases stepped in time, and the
-    hbar->0 check compares with the exact classical trajectory,
+    raise ValueError before any record.  A requested dimension of more than
+    1024 levels raises TruncationError before any state is built, as does an
+    auto-sized state needing more when its weight table is built; one too
+    small for either state raises it before any record, as a sixth record
+    that would fail raises dynamics.TrajectoryError.  Nothing raises after
+    the first record.  No operator matrix is formed and no ODE is solved:
+    <x(t)> is read from the bands with level-gap phases stepped in time, and
+    the hbar->0 check compares with the exact classical trajectory,
     dynamics.integrate_oscillator_trajectory.
     """
     if model.beta == 0.0:

@@ -784,6 +784,28 @@ class TestPeriod:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("rel_tol", ["1.01e-14", "1e-10", "9.9e-4"])
+    @pytest.mark.parametrize("beta0", ["0", "1e-30", "1", "1e3", "1e8", "1e15", "1e20",
+                                       "1e25", "1e30"])
+    def test_scan_passes_or_refuses(self, capsys, beta0, rel_tol):
+        # every method answers with one finite period or refuses with one
+        # line; --first-order may go negative at large beta0, still an answer
+        for phi in (1e-200, 1e-8, 0.05, 0.35, 1.0, 1.5, 1.5705):
+            periods = {}
+            for method in ("--exact", "--first-order", "--trajectory"):
+                code, out, err = run(capsys, "period", "--amplitude", repr(2.9954 * math.sin(phi)),
+                                     "--beta0", beta0, "--rel-tol", rel_tol, method)
+                if code == 0:
+                    assert err == "" and out.count("period_s=") == 1, (phi, method)
+                    periods[method] = float(out.split("period_s=")[1].split()[0])
+                    assert math.isfinite(periods[method]), (phi, method)
+                else:
+                    assert (code, out) == (2, ""), (phi, method)
+                    assert err.count("\n") == 1, (phi, method)
+            if "--trajectory" in periods:
+                assert periods["--trajectory"] == pytest.approx(
+                    periods["--exact"], rel=10.0 * float(rel_tol), abs=0.0), phi
+
 
 class TestQuantumCheck:
     def test_default_invariants_pass(self, capsys):
@@ -965,12 +987,26 @@ class TestQuantumCheck:
         assert "numerical failure" in err
 
     def test_action_past_the_summed_series_refused(self, capsys):
-        # the weights of |J, 0> peak near level J, beyond the 262,144 levels
-        # summed and far beyond the 1,024 the operators allow
+        # the weights of |J, 0> peak near level J, beyond the 2,048 levels of
+        # the weight table and far beyond the 1,024 the operators allow
         assert run(capsys, "quantum-check", "--j", "1e6", "--beta", "1e-8") == (
-            2, "", "gup: numerical failure: J = 1e+06: the generalized coherent state's "
-            "series has not fallen off within 262144 levels, the most it is summed over; "
-            "the operators stop at 1024 levels\n")
+            2, "", "gup: numerical failure: J = 1e+06: the generalized coherent state "
+            "needs more than 1024 Fock levels, the most the operators are checked for\n")
+
+    def test_action_past_the_cap_refused_within_one_table(self, capsys, monkeypatch):
+        # no weight table runs past 2,048 levels before the refusal
+        counts = []
+        original = oscillator._level_eigenvalues
+
+        def spy(nu, count):
+            counts.append(count)
+            return original(nu, count)
+
+        monkeypatch.setattr(oscillator, "_level_eigenvalues", spy)
+        code, out, err = run(capsys, "quantum-check", "--j", "1e6", "--beta", "1e-8")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert counts and max(counts) <= 2048
 
     def test_oversized_fock_space_refused(self, capsys):
         # the ceiling must hold before the CLI is asked for 10,586 levels,
@@ -978,10 +1014,9 @@ class TestQuantumCheck:
         model = oscillator.OscillatorModel(mass=1.0, omega=1.0, hbar=1.0, beta=5e-6)
         with pytest.raises(oscillator.TruncationError):
             oscillator.build_truncated_operators(model, 1025)
-        code, _, err = run(capsys, "quantum-check", "--j", "1e4")
-        assert code == 2
-        assert "10586 Fock levels" in err
-        assert "1024 levels" in err
+        assert run(capsys, "quantum-check", "--j", "1e4") == (
+            2, "", "gup: numerical failure: J = 10000: the generalized coherent state "
+            "needs more than 1024 Fock levels, the most the operators are checked for\n")
 
     def test_requested_dimension_past_the_cap_refused(self, capsys):
         # refused before any state is built: 10**12 levels would not fit in memory

@@ -80,33 +80,55 @@ class TestSpectrum:
         gaps = np.diff(np.diag(build_truncated_operators(model_units(beta=1e-2), 9).h).real)
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
-    def test_log_terms_match_level_loop(self):
-        # the cumulative sum must reproduce the sequential per-level loop
-        # bit for bit, over the (beta, J) range the CLI reaches
-        rng = np.random.default_rng(20261018)
-        for count in (64, 1024, 8192):
-            for _ in range(20):
-                beta = 10.0 ** rng.uniform(-9.0, -1.0)
-                J = 10.0 ** rng.uniform(-1.0, 3.0)
-                model = model_units(beta=beta)
-                assert np.array_equal(
-                    oscillator._gk_log_terms(model, J, count),
-                    gk_log_terms_loop(model, J, count),
-                ), (beta, J, count)
-
-
     @pytest.mark.parametrize("J,count", [
         (4.0, 64), (20.0, 128), (80.0, 256), (200.0, 512), (500.0, 1024),
         (1000.0, 2048), (2500.0, 4096),
     ])
     def test_weight_table_matches_level_loop(self, J, count):
-        # the table logs each level once across its doublings and must stop
-        # where, and equal what, the sequential loop gives, bit for bit
+        # count is the first of 64, 128, ... levels within which the level
+        # loop's terms fall 60 below their peak
         model = model_units(beta=1e-6)
+        for levels, fallen_off in ((count // 2, False), (count, True)):
+            loop = gk_log_terms_loop(model, J, levels)
+            assert (loop[-1] < np.max(loop) - 60.0 and loop[-1] <= loop[-2]) == fallen_off
+        if count > 1024:  # both states need more than 1024 levels
+            with pytest.raises(TruncationError, match=f"J = {J:g}: .* more than 1024 Fock"):
+                oscillator._gk_weights(model, J)
+            return
+        # one vectorized pass over 2048 levels: np.log and math.log may
+        # differ by an ulp per level
         log_terms = oscillator._gk_weights(model, J)[0]
-        assert len(log_terms) == count
-        reference = gk_log_terms_loop(model, J, count)
-        assert np.array_equal(log_terms, reference - np.max(reference))
+        assert len(log_terms) == 2048
+        reference = gk_log_terms_loop(model, J, 2048)
+        reference -= np.max(reference)
+        tol = 2048 * np.spacing(np.max(np.abs(reference)))
+        np.testing.assert_allclose(log_terms, reference, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 1e-4])
+    def test_dimension_scan_across_the_cap(self, beta):
+        # each dimension from the level loop summed to convergence with the
+        # 1e-12 tail rule: up to 1024 levels choose_dimension gives it, past
+        # that it refuses
+        model = model_units(beta=beta)
+        sides = set()
+        for J in np.geomspace(500.0, 1500.0, 61):
+            count = 2048
+            while True:
+                log_terms = gk_log_terms_loop(model, J, count)
+                if log_terms[-1] < np.max(log_terms) - 60.0 and log_terms[-1] <= log_terms[-2]:
+                    break
+                count *= 2
+            weights = np.exp(log_terms - np.max(log_terms))
+            tail = np.cumsum(weights[::-1])[::-1]
+            expected = max(int(np.count_nonzero(tail >= 1e-12 * tail[0])) + 4, 8)
+            sides.add(expected <= 1024)
+            if expected <= 1024:
+                assert choose_dimension(model, J) == expected, J
+            else:
+                with pytest.raises(TruncationError, match="more than 1024 Fock levels"):
+                    choose_dimension(model, J)
+        assert sides == {True, False}
+
 
 @pytest.fixture(scope="module")
 def ops():
@@ -544,10 +566,14 @@ class TestInvariantChecks:
             next(below)
 
     def test_oversized_dimension_refused_before_any_record(self):
-        # J = 1e4 at the defaults needs 10,586 levels
+        # J = 1e4 at the defaults needs 10,586 levels; its weight table refuses it
         checks = invariant_checks(model_units(beta=5e-6), 1e4)
-        with pytest.raises(TruncationError, match="10586 Fock levels"):
+        with pytest.raises(TruncationError) as info:
             next(checks)
+        assert str(info.value) == (
+            "J = 10000: the generalized coherent state needs more than 1024 Fock levels, "
+            "the most the operators are checked for"
+        )
 
     # at 10**12 levels a state's amplitudes alone would need 16 TB
     @pytest.mark.parametrize("dimension", [1025, 10**12])
